@@ -5,7 +5,8 @@ to ``BENCH_PERF.json`` at the repo root, seeding a performance trajectory
 future PRs can diff against:
 
 1. **Rule-generator construction** on the FIG7 configuration space, for
-   three implementations:
+   three implementations (plus an ``online_refit`` row: milliseconds per
+   adaptor-shaped re-fit, vectorized against the legacy oracle):
 
    * ``vectorized`` — the default outcome-matrix engine;
    * ``legacy`` — the in-repo scalar oracle (already faster than the seed
@@ -54,11 +55,13 @@ from repro.core import (
     evaluate_policy,
 )
 from repro.core.metrics import summarize_outcomes
+from repro.service.control import PolicyAdaptor, default_control_spec
 from repro.service.simulation import (
     BatchingConfig,
     PoissonArrivals,
     ServingSimulator,
     build_replay_cluster,
+    scenario_measurements,
 )
 from repro.stats.confidence import ConfidenceTest
 from repro.stats.resampling import subsample_indices
@@ -80,6 +83,9 @@ SIM_SPEEDUP_FLOOR = 2.0 if SMOKE else 5.0
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PERF.json"
 
 GENERATOR_KW = dict(confidence=0.999, seed=7, min_trials=10, max_trials=60)
+#: Telemetry windows (34-50 rows of the toy scenario table) fit per
+#: ``online_refit`` repetition.
+REFIT_WINDOWS = 4 if SMOKE else 12
 SIM_REQUESTS = 400 if SMOKE else 2000
 
 
@@ -180,6 +186,69 @@ def _estimates_equal(a, b):
     )
 
 
+def _online_refit():
+    """Milliseconds per adaptor-shaped re-fit, vectorized vs legacy.
+
+    Each fit is what the control plane's adaptor runs on a re-fit: the
+    default control spec's candidate space with its anchor, on one
+    34-50-row window of the toy scenario table.
+    """
+    toy = scenario_measurements()
+    config = default_control_spec().adaptor
+    adaptor = PolicyAdaptor(
+        config,
+        measurements=toy,
+        anchor=EnsembleConfiguration(
+            "bench_seq", SequentialPolicy("fast", "slow", 0.6)
+        ),
+    )
+    rng = np.random.default_rng(12)
+    windows = [
+        toy.subset(
+            np.sort(
+                rng.choice(toy.n_requests, int(rng.integers(34, 51)), replace=False)
+            ).tolist()
+        )
+        for _ in range(REFIT_WINDOWS)
+    ]
+
+    def fit_all(engine):
+        return [
+            RoutingRuleGenerator(
+                window,
+                configurations=adaptor.candidates,
+                confidence=config.confidence,
+                sample_fraction=config.sample_fraction,
+                seed=seed,
+                degradation_mode=config.degradation_mode,
+                min_trials=config.min_trials,
+                max_trials=config.max_trials,
+                engine=engine,
+            ).results
+            for seed, window in enumerate(windows)
+        ]
+
+    fit_all("vectorized")  # warm-up
+    timings, results = {}, {}
+    for engine, reps in (("vectorized", REPS), ("legacy", min(REPS, 3))):
+        timings[engine], results[engine] = _best_time(
+            lambda engine=engine: fit_all(engine), reps=reps
+        )
+    assert results["vectorized"] == results["legacy"]
+    ms_per_fit = {
+        engine: round(1e3 * wall / len(windows), 3)
+        for engine, wall in timings.items()
+    }
+    return {
+        "n_fits": len(windows),
+        "n_configurations": len(adaptor.candidates),
+        "ms_per_fit": ms_per_fit,
+        "speedup_vs_legacy_oracle": round(
+            ms_per_fit["legacy"] / ms_per_fit["vectorized"], 2
+        ),
+    }
+
+
 def test_perf_rule_generator(ic_cpu_measurements):
     measurements = ic_cpu_measurements
     configurations = _fig7_space(measurements)
@@ -243,6 +312,13 @@ def test_perf_rule_generator(ic_cpu_measurements):
         f"vectorized engine is only {speedup_pre_pr:.1f}x faster than the "
         f"pre-PR loop (floor {SPEEDUP_FLOOR}x)"
     )
+    online_refit = _online_refit()
+    print(
+        f"PERF online re-fit ({online_refit['n_configurations']} configs, "
+        f"{online_refit['n_fits']} windows): "
+        f"{online_refit['ms_per_fit']['vectorized']:.2f} ms/fit vectorized, "
+        f"{online_refit['ms_per_fit']['legacy']:.2f} ms/fit legacy"
+    )
 
     _merge_output(
         {
@@ -256,6 +332,7 @@ def test_perf_rule_generator(ic_cpu_measurements):
                 },
                 "speedup_vs_pre_pr": round(speedup_pre_pr, 2),
                 "speedup_vs_legacy_oracle": round(speedup_scalar, 2),
+                "online_refit": online_refit,
                 "rule_tables": tables,
                 "smoke": SMOKE,
             }

@@ -11,22 +11,27 @@ Two implementations share that contract:
 
 * the **legacy scalar loop** — one :func:`~repro.core.simulator.simulate`
   call per trial, kept as the correctness oracle; and
-* the **blocked vectorized loop** — used when an
-  :class:`~repro.core.outcome_matrix.OutcomeMatrix` is supplied.  Trial
-  index sets are drawn in the exact rng order of the scalar loop, but
-  evaluated as ``(block, sample_size)`` gathers against the matrix's
-  precomputed outcome columns, and the sequential confidence test is fed in
-  blocks via :meth:`~repro.stats.confidence.ConfidenceTest.first_satisfied`.
-  Because the blocked loop may draw a few trials past the stopping point,
-  it rewinds the generator and replays exactly the consumed draws, so the
-  rng state after each configuration — and therefore every downstream
-  configuration's trials — matches the scalar loop bit for bit.
+* the **trial stream** — used when an
+  :class:`~repro.core.outcome_matrix.OutcomeMatrix` is supplied.  The
+  scalar loop draws every trial's index set from one generator, so across
+  the configurations of a fit the draws form a single sequence of trial
+  rows, and each configuration consumes the rows that follow the previous
+  configuration's last trial.  :class:`TrialStream` draws that sequence
+  once, row by row and in the scalar loop's rng order.  Each
+  configuration evaluates its next ``max_trials`` rows in one
+  ``(max_trials, sample_size)`` gather against the matrix's precomputed
+  outcome columns and finds its stopping point with one
+  :meth:`~repro.stats.confidence.ConfidenceTest.first_satisfied` scan;
+  the rows past that point are the next configuration's first trials, not
+  redrawn.  :meth:`TrialStream.park` hands the generator back at the
+  exact consumption point, so every estimate and the rng state match the
+  scalar loop bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -41,12 +46,12 @@ from repro.stats.resampling import subsample_indices
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.outcome_matrix import OutcomeMatrix
 
-__all__ = ["WorstCaseEstimate", "bootstrap_configuration"]
-
-#: Trials evaluated per vectorized gather once the minimum-trial block has
-#: been consumed.  Purely a throughput knob: results are identical for any
-#: value because the stopping rule is replayed prefix by prefix.
-DEFAULT_TRIAL_BLOCK = 64
+__all__ = [
+    "TrialStream",
+    "WorstCaseEstimate",
+    "bootstrap_configuration",
+    "trial_sample_size",
+]
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,16 @@ class WorstCaseEstimate:
         raise ValueError(f"unknown objective {objective!r}")
 
 
+def trial_sample_size(n_requests: int, sample_fraction: float) -> int:
+    """Requests per bootstrap trial: ``sample_fraction`` of the training
+    set, at least 2, clipped to ``[1, n_requests]`` like
+    :func:`~repro.stats.resampling.subsample_indices`."""
+    if not 0.0 < sample_fraction <= 1.0:
+        raise ValueError("sample_fraction must be in (0, 1]")
+    size = max(2, int(round(n_requests * sample_fraction)))
+    return int(min(size, n_requests))
+
+
 def bootstrap_configuration(
     measurements: MeasurementSet,
     configuration: EnsembleConfiguration,
@@ -88,7 +103,6 @@ def bootstrap_configuration(
     baseline_version: Optional[str] = None,
     degradation_mode: str = "relative",
     outcome_matrix: Optional["OutcomeMatrix"] = None,
-    trial_block: int = DEFAULT_TRIAL_BLOCK,
 ) -> WorstCaseEstimate:
     """Bootstrap one configuration until its metrics are confidently spread.
 
@@ -108,20 +122,21 @@ def bootstrap_configuration(
         baseline_version: Degradation reference version; defaults to the
             most accurate version of the full training set.
         degradation_mode: ``"relative"`` or ``"absolute"``.
-        outcome_matrix: Precomputed outcome columns enabling the blocked
-            vectorized fast path; the configuration must have been
+        outcome_matrix: Precomputed outcome columns enabling the
+            vectorized trial stream (a one-configuration
+            :class:`TrialStream`); the configuration must have been
             expanded into it (fall back to the scalar loop otherwise).
-        trial_block: Trials per vectorized gather on the fast path.
 
     Returns:
         The worst-case estimate across all trials.
+
+    Raises:
+        ValueError: If the matrix was built for other inputs, or holds
+            columns of a different policy under the configuration's id.
     """
-    if not 0.0 < sample_fraction <= 1.0:
-        raise ValueError("sample_fraction must be in (0, 1]")
+    sample_size = trial_sample_size(measurements.n_requests, sample_fraction)
     if baseline_version is None:
         baseline_version = measurements.most_accurate_version()
-
-    sample_size = max(2, int(round(measurements.n_requests * sample_fraction)))
 
     if outcome_matrix is not None and configuration.config_id in outcome_matrix:
         if outcome_matrix.measurements is not measurements:
@@ -152,14 +167,12 @@ def bootstrap_configuration(
                 "pass an equivalent pricing (or omit it) so both engines "
                 "price trials identically"
             )
-        return _bootstrap_blocked(
-            outcome_matrix,
-            configuration,
-            confidence_test=confidence_test,
-            rng=rng,
-            sample_size=sample_size,
-            trial_block=trial_block,
+        stream = TrialStream(
+            rng, measurements.n_requests, sample_size, confidence_test
         )
+        estimate = stream.bootstrap(outcome_matrix, configuration)
+        stream.park()
+        return estimate
     return _bootstrap_scalar(
         measurements,
         configuration,
@@ -217,72 +230,122 @@ def _bootstrap_scalar(
     )
 
 
-def _bootstrap_blocked(
-    matrix: "OutcomeMatrix",
-    configuration: EnsembleConfiguration,
-    *,
-    confidence_test: ConfidenceTest,
-    rng: np.random.Generator,
-    sample_size: int,
-    trial_block: int,
-) -> WorstCaseEstimate:
-    """The blocked vectorized loop over precomputed outcome columns."""
-    if trial_block < 1:
-        raise ValueError("trial_block must be positive")
-    n = matrix.n_requests
-    sample_size = int(min(max(sample_size, 1), n))  # subsample_indices' clip
-    max_trials = confidence_test.max_trials
-    # The state property builds a fresh dict on access, so no copy needed.
-    start_state = rng.bit_generator.state
+class TrialStream:
+    """The bootstrap's trial rows, drawn once and shared by configurations.
 
-    degradation = np.empty(max_trials)
-    response = np.empty(max_trials)
-    cost = np.empty(max_trials)
-    index_buffer = np.empty(
-        (min(max(confidence_test.min_trials, trial_block), max_trials), sample_size),
-        dtype=np.int64,
-    )
-    # After the clip above this is exactly subsample_indices' draw, with
-    # the wrapper's per-call validation hoisted out of the loop.
-    draw = rng.choice
-    drawn = 0
-    stop: Optional[int] = None
+    The scalar loop draws one index set per trial from a single generator,
+    so the trials of consecutive configurations are consecutive stretches
+    of one sequence of draws.  The stream draws that sequence lazily, in
+    the same rng order, into a buffer of at most ``2 * max_trials`` rows;
+    :meth:`bootstrap` evaluates the next ``max_trials`` rows for one
+    configuration and consumes only as many as its stopping rule needed.
 
-    while stop is None:
-        # The first block covers the trials the test cannot pass without
-        # (it rejects every prefix shorter than min_trials), later blocks
-        # are a throughput knob; max_trials caps the total either way.
-        if drawn == 0:
-            block = min(confidence_test.min_trials, max_trials)
-        else:
-            block = min(trial_block, max_trials - drawn)
-        indices = index_buffer[:block]
-        for row in range(block):
-            indices[row] = draw(n, size=sample_size, replace=False)
-        metrics = matrix.trial_metrics(configuration.config_id, indices)
-        degradation[drawn : drawn + block] = metrics.error_degradation
-        response[drawn : drawn + block] = metrics.mean_response_time_s
-        cost[drawn : drawn + block] = metrics.mean_invocation_cost
-        checked = drawn
-        drawn += block
-        stop = confidence_test.first_satisfied(
-            (degradation[:drawn], response[:drawn], cost[:drawn]),
-            start=checked + 1,
+    The generator therefore runs ahead of the consumption point by up to
+    ``max_trials`` draws.  Before each extension the stream snapshots the
+    generator state, and :meth:`park` restores the latest snapshot at or
+    before the consumption point and replays the (at most ``max_trials``)
+    draws after it, leaving the generator exactly where the scalar loop
+    would.  Park before anything else draws from the generator; the stream
+    can be used again afterwards.
+
+    Args:
+        rng: The generator the trials are drawn from.
+        n_requests: Rows of the measurement set the trials subsample.
+        sample_size: Requests per trial (see :func:`trial_sample_size`).
+        confidence_test: The stopping rule; its ``max_trials`` bounds the
+            rows any configuration can consume.
+    """
+
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        n_requests: int,
+        sample_size: int,
+        confidence_test: ConfidenceTest,
+    ) -> None:
+        self._rng = rng
+        self._n_requests = n_requests
+        self._test = confidence_test
+        self._rows = np.empty(
+            (2 * confidence_test.max_trials, sample_size), dtype=np.int64
         )
-        if stop is None and drawn >= max_trials:
-            stop = max_trials  # unconditional safety valve
+        self._reset()
 
-    if drawn > stop:
-        # Replay exactly the draws the scalar loop would have consumed so
-        # the generator state seen by the next configuration is identical.
-        rng.bit_generator.state = start_state
-        for _ in range(stop):
-            draw(n, size=sample_size, replace=False)
+    def _reset(self) -> None:
+        #: Buffer rows ``[_head, _tail)`` are drawn but not yet consumed.
+        self._head = 0
+        self._tail = 0
+        #: Rows consumed since the generator was last parked.
+        self._consumed = 0
+        #: ``(rows consumed + buffered, generator state)`` before each
+        #: extension; the first entry is the latest at or before
+        #: ``_consumed``.
+        self._snapshots: List[Tuple[int, Dict[str, Any]]] = []
 
-    return WorstCaseEstimate(
-        config_id=configuration.config_id,
-        error_degradation=float(degradation[:stop].max()),
-        mean_response_time_s=float(response[:stop].max()),
-        mean_invocation_cost=float(cost[:stop].max()),
-        n_trials=stop,
-    )
+    def _draw_rows(self, rows: np.ndarray) -> None:
+        """Fill ``rows`` with consecutive trials, each subsample_indices'
+        draw (the sample size is pre-clipped)."""
+        draw = self._rng.choice
+        n_requests, size = self._n_requests, rows.shape[1]
+        for row in range(rows.shape[0]):
+            rows[row] = draw(n_requests, size=size, replace=False)
+
+    def _next_rows(self, count: int) -> np.ndarray:
+        """The next ``count`` unconsumed rows, drawing the missing ones."""
+        missing = self._head + count - self._tail
+        if missing > 0:
+            if self._tail + missing > self._rows.shape[0]:
+                live = self._tail - self._head
+                self._rows[:live] = self._rows[self._head : self._tail]
+                self._head, self._tail = 0, live
+            self._snapshots.append(
+                (
+                    self._consumed + self._tail - self._head,
+                    self._rng.bit_generator.state,
+                )
+            )
+            self._draw_rows(self._rows[self._tail : self._tail + missing])
+            self._tail += missing
+        return self._rows[self._head : self._head + count]
+
+    def _consume(self, count: int) -> None:
+        self._head += count
+        self._consumed += count
+        snapshots = self._snapshots
+        while len(snapshots) > 1 and snapshots[1][0] <= self._consumed:
+            snapshots.pop(0)
+
+    def bootstrap(
+        self, matrix: "OutcomeMatrix", configuration: EnsembleConfiguration
+    ) -> WorstCaseEstimate:
+        """Bootstrap one matrix-expanded configuration on the next rows."""
+        if matrix.n_requests != self._n_requests:
+            raise ValueError("the matrix covers a different number of rows")
+        matrix.check_covers(configuration)
+        max_trials = self._test.max_trials
+        metrics = matrix.trial_metrics(
+            configuration.config_id, self._next_rows(max_trials)
+        )
+        columns = (
+            metrics.error_degradation,
+            metrics.mean_response_time_s,
+            metrics.mean_invocation_cost,
+        )
+        # The test's max_trials safety valve guarantees a stopping point.
+        stop = self._test.first_satisfied(columns)
+        self._consume(stop)
+        return WorstCaseEstimate(
+            config_id=configuration.config_id,
+            error_degradation=float(columns[0][:stop].max()),
+            mean_response_time_s=float(columns[1][:stop].max()),
+            mean_invocation_cost=float(columns[2][:stop].max()),
+            n_trials=stop,
+        )
+
+    def park(self) -> None:
+        """Leave the generator exactly after the last consumed row."""
+        if self._tail > self._head:
+            position, state = self._snapshots[0]
+            self._rng.bit_generator.state = state
+            self._draw_rows(self._rows[: self._consumed - position])
+        self._reset()

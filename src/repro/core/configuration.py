@@ -16,7 +16,7 @@ policies, so they are kept as ablations rather than defaults.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.policies import (
     ConcurrentPolicy,
@@ -27,13 +27,27 @@ from repro.core.policies import (
 )
 from repro.service.measurement import MeasurementSet
 
-__all__ = ["EnsembleConfiguration", "enumerate_configurations"]
+__all__ = [
+    "EnsembleConfiguration",
+    "check_config_ids",
+    "enumerate_configurations",
+    "same_policy",
+]
 
 _POLICY_CLASSES = {
     "seq": SequentialPolicy,
     "conc": ConcurrentPolicy,
     "et": EarlyTerminationPolicy,
 }
+
+#: Policy types fully described by their constructor parameters.  Exact
+#: types: a subclass may override ``evaluate``.
+_PARAMETER_POLICIES = (
+    SingleVersionPolicy,
+    SequentialPolicy,
+    ConcurrentPolicy,
+    EarlyTerminationPolicy,
+)
 
 #: Default confidence-threshold grid for the two-version policies.
 DEFAULT_THRESHOLDS: Tuple[float, ...] = tuple(
@@ -71,6 +85,42 @@ class EnsembleConfiguration:
     def describe(self) -> str:
         """One-line human-readable description."""
         return f"{self.config_id}: {self.policy.describe()}"
+
+
+def same_policy(a: EnsemblePolicy, b: EnsemblePolicy) -> bool:
+    """Whether two policies route every request the same way.
+
+    The design-space policies compare by type and parameters (their names
+    round the threshold to two digits); any other policy by type and name.
+    """
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if type(a) in _PARAMETER_POLICIES:
+        return vars(a) == vars(b)
+    return a.name == b.name
+
+
+def check_config_ids(configurations: Iterable[EnsembleConfiguration]) -> None:
+    """Refuse a configuration list in which one id names two policies.
+
+    Estimates, outcome columns and rule lookups are keyed by
+    ``config_id``, so such a list would silently evaluate one policy in
+    the other's place.  Repeating a configuration is allowed.
+
+    Raises:
+        ValueError: On the first id bound to two different policies.
+    """
+    seen: Dict[str, EnsemblePolicy] = {}
+    for configuration in configurations:
+        policy = seen.setdefault(configuration.config_id, configuration.policy)
+        if not same_policy(policy, configuration.policy):
+            raise ValueError(
+                f"configuration id {configuration.config_id!r} names two "
+                f"different policies: {policy.name} and "
+                f"{configuration.policy.name}"
+            )
 
 
 def enumerate_configurations(

@@ -37,7 +37,11 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.configuration import EnsembleConfiguration
+from repro.core.configuration import (
+    EnsembleConfiguration,
+    check_config_ids,
+    same_policy,
+)
 from repro.core.metrics import build_pricing
 from repro.core.policies import (
     ConcurrentPolicy,
@@ -77,11 +81,13 @@ class ConfigurationColumns:
         stacked: ``(n_rows, n_requests)`` outcome-column matrix.
         node_rows: ``(version, row-index)`` pairs in the policy's version
             order (the order the legacy cost breakdown sums in).
+        policy: The policy the columns were computed for.
     """
 
     config_id: str
     stacked: np.ndarray
     node_rows: Tuple[Tuple[str, int], ...]
+    policy: EnsemblePolicy
 
     @property
     def error(self) -> np.ndarray:
@@ -177,7 +183,8 @@ class OutcomeMatrix:
 
         Unsupported policies (custom ``evaluate`` overrides) are skipped;
         callers detect them via ``config_id in matrix`` and keep the legacy
-        scalar path for those.
+        scalar path for those.  A configuration repeated in the list is
+        expanded once.
 
         Args:
             measurements: The training measurement table.
@@ -187,7 +194,12 @@ class OutcomeMatrix:
             baseline_version: Degradation reference; defaults to the most
                 accurate version.
             degradation_mode: ``"relative"`` or ``"absolute"``.
+
+        Raises:
+            ValueError: If one ``config_id`` names two different policies.
         """
+        configurations = list(configurations)
+        check_config_ids(configurations)
         if pricing is None:
             pricing = build_pricing(measurements)
         if baseline_version is None:
@@ -216,7 +228,7 @@ class OutcomeMatrix:
         columns: Dict[str, ConfigurationColumns] = {}
         for configuration in configurations:
             policy = configuration.policy
-            if not cls.supports(policy):
+            if not cls.supports(policy) or configuration.config_id in columns:
                 continue
             if isinstance(policy, SingleVersionPolicy):
                 version = policy.version
@@ -230,6 +242,7 @@ class OutcomeMatrix:
                     config_id=configuration.config_id,
                     stacked=stacked,
                     node_rows=((version, 2),),
+                    policy=policy,
                 )
                 continue
 
@@ -264,6 +277,7 @@ class OutcomeMatrix:
                     (policy.fast_version, 3),
                     (policy.accurate_version, 4),
                 ),
+                policy=policy,
             )
         return cls(
             measurements, pricing, baseline_version, degradation_mode, columns
@@ -300,6 +314,21 @@ class OutcomeMatrix:
             raise KeyError(
                 f"no outcome columns for configuration {config_id!r}"
             ) from None
+
+    def check_covers(self, configuration: EnsembleConfiguration) -> None:
+        """Refuse a configuration whose id names other columns' policy.
+
+        Raises:
+            KeyError: If the configuration's id was not expanded.
+            ValueError: If the columns under its id were computed for a
+                different policy.
+        """
+        columns = self.columns_for(configuration.config_id)
+        if not same_policy(columns.policy, configuration.policy):
+            raise ValueError(
+                f"outcome columns {configuration.config_id!r} were built for "
+                f"{columns.policy.name}, not {configuration.policy.name}"
+            )
 
     @property
     def baseline_error(self) -> np.ndarray:

@@ -17,8 +17,17 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.bootstrap import WorstCaseEstimate, bootstrap_configuration
-from repro.core.configuration import EnsembleConfiguration, enumerate_configurations
+from repro.core.bootstrap import (
+    TrialStream,
+    WorstCaseEstimate,
+    bootstrap_configuration,
+    trial_sample_size,
+)
+from repro.core.configuration import (
+    EnsembleConfiguration,
+    check_config_ids,
+    enumerate_configurations,
+)
 from repro.core.metrics import build_pricing
 from repro.core.outcome_matrix import OutcomeMatrix
 from repro.core.policies import SingleVersionPolicy
@@ -54,6 +63,10 @@ class RoutingRuleGenerator:
             oracle, and the baseline `benchmarks/bench_perf.py` measures
             speedups against).  Both produce identical results for the
             same seed.
+
+    Raises:
+        ValueError: If the space is empty or one ``config_id`` names two
+            different policies.
     """
 
     def __init__(
@@ -81,6 +94,7 @@ class RoutingRuleGenerator:
         )
         if not self.configurations:
             raise ValueError("the configuration space is empty")
+        check_config_ids(self.configurations)
         self.confidence = confidence
         self.degradation_mode = degradation_mode
         self.sample_fraction = sample_fraction
@@ -108,13 +122,40 @@ class RoutingRuleGenerator:
 
         #: Worst-case estimate per configuration, aligned with
         #: :attr:`configurations` (mirrors ``self.results`` in Fig. 7).
-        self.results: List[WorstCaseEstimate] = [
-            self.bootstrap(configuration) for configuration in self.configurations
-        ]
+        self.results: List[WorstCaseEstimate] = self._fit()
 
     # ------------------------------------------------------------------
     # bootstrapping
     # ------------------------------------------------------------------
+    def _fit(self) -> List[WorstCaseEstimate]:
+        """Bootstrap every configuration in order on one generator.
+
+        On the vectorized engine the matrix-expanded configurations share
+        one :class:`~repro.core.bootstrap.TrialStream`, so every trial row
+        is drawn once; the stream parks the generator before each
+        configuration that takes the scalar loop and at the end, exactly
+        where the per-configuration loop would leave it.
+        """
+        matrix = self.outcome_matrix
+        if matrix is None:
+            return [self.bootstrap(c) for c in self.configurations]
+        n_requests = self.measurements.n_requests
+        stream = TrialStream(
+            self._rng,
+            n_requests,
+            trial_sample_size(n_requests, self.sample_fraction),
+            self._confidence_test,
+        )
+        results: List[WorstCaseEstimate] = []
+        for configuration in self.configurations:
+            if configuration.config_id in matrix:
+                results.append(stream.bootstrap(matrix, configuration))
+            else:
+                stream.park()
+                results.append(self.bootstrap(configuration))
+        stream.park()
+        return results
+
     def bootstrap(self, configuration: EnsembleConfiguration) -> WorstCaseEstimate:
         """Bootstrap one configuration to its confident worst case."""
         return bootstrap_configuration(

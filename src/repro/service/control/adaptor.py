@@ -26,7 +26,8 @@ Guardrails:
   ``min_window_samples`` observed requests (a rule table fit on a
   handful of rows is noise);
 * **no cost-increasing swaps under breach** — the anchor is
-  bootstrapped alongside the candidates every re-fit, and while
+  bootstrapped alongside the candidates every re-fit (in the place of
+  an identical candidate, if the space has one), and while
   breaching a swap must strictly lower the worst-case cost
   (node-seconds per request) of the active policy; without this, a
   narrow first widening step can "re-fit" onto the most accurate single
@@ -55,6 +56,7 @@ import math
 from repro.core.configuration import (
     EnsembleConfiguration,
     enumerate_configurations,
+    same_policy,
 )
 from repro.core.rule_generator import RoutingRuleGenerator
 from repro.service.control.slo import SLOState
@@ -152,6 +154,37 @@ class AdaptorEvent:
     detail: str
 
 
+def _candidate_space(
+    anchor: EnsembleConfiguration, candidates: List[EnsembleConfiguration]
+) -> Tuple[EnsembleConfiguration, Tuple[EnsembleConfiguration, ...]]:
+    """The re-fit space with the anchor in it, and one policy per id.
+
+    A candidate identical to the anchor is replaced by the anchor, so a
+    re-fit that picks that policy keeps the deployed configuration instead
+    of "swapping" to an alias of it; otherwise the anchor joins at the end.
+    An anchor whose id a different candidate already uses (as an anchor
+    fit on another design space can) is renamed ``<id>@anchor``, an id the
+    enumerated space never produces.
+
+    Returns:
+        The anchor as the space holds it, and the space.
+    """
+    space = [
+        anchor if same_policy(candidate.policy, anchor.policy) else candidate
+        for candidate in candidates
+    ]
+    if not any(candidate is anchor for candidate in space):
+        space.append(anchor)
+    if any(
+        candidate.config_id == anchor.config_id and candidate is not anchor
+        for candidate in space
+    ):
+        renamed = EnsembleConfiguration(f"{anchor.config_id}@anchor", anchor.policy)
+        space = [renamed if candidate is anchor else candidate for candidate in space]
+        anchor = renamed
+    return anchor, tuple(space)
+
+
 class _PendingJudgement:
     """Bookkeeping for rollback: what the world looked like pre-swap."""
 
@@ -171,7 +204,9 @@ class PolicyAdaptor:
         measurements: The full measurement table; re-fits run on the
             row subset named by the trailing window's payloads.
         anchor: The offline-fit configuration the system deploys with
-            (and converges back to).
+            (and converges back to).  If a different candidate of the
+            re-fit space has its id, the adaptor holds it as
+            ``<id>@anchor`` (see :attr:`anchor`).
         seed: Base seed; each re-fit derives its own deterministic
             generator seed from it.
     """
@@ -186,16 +221,16 @@ class PolicyAdaptor:
     ) -> None:
         self.config = config
         self.measurements = measurements
-        self.anchor = anchor
-        self.active = anchor
+        # The anchor competes in (and is estimated by) every re-fit, so
+        # swaps can be judged against the deployed policy's worst case.
+        self.anchor, self._candidates = _candidate_space(
+            anchor,
+            enumerate_configurations(measurements, thresholds=config.thresholds),
+        )
+        self.active = self.anchor
         self.effective_tolerance = config.base_tolerance
         self._seed = int(seed)
         self._row_of = {rid: i for i, rid in enumerate(measurements.request_ids)}
-        # The anchor competes in (and is estimated by) every re-fit, so
-        # swaps can be judged against the deployed policy's worst case.
-        self._candidates = enumerate_configurations(
-            measurements, thresholds=config.thresholds
-        ) + [anchor]
         self._rejected: set = set()
         self._last_refit = -math.inf
         self._ok_streak = 0
@@ -203,6 +238,11 @@ class PolicyAdaptor:
         self._pending: Optional[_PendingJudgement] = None
         #: Adaptor actions in order, drained into the control log.
         self.events: List[AdaptorEvent] = []
+
+    @property
+    def candidates(self) -> Tuple[EnsembleConfiguration, ...]:
+        """The re-fit candidate space, :attr:`anchor` included."""
+        return self._candidates
 
     # ------------------------------------------------------------------
     def on_tick(

@@ -23,6 +23,7 @@ from scipy.stats import norm
 
 __all__ = [
     "ConfidenceTest",
+    "constant_sample_trials",
     "normal_quantile",
     "spread_is_confident",
     "zscores",
@@ -37,6 +38,22 @@ __all__ = [
 #: falsely certify confidence.
 _REL_SPREAD_FLOOR = 1e-12
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+#: Longest equal-valued prefix the vectorized scan decides with the
+#: constant-sample rule.  numpy's mean of ``t`` equal values is off by at
+#: most ~``t * eps`` relative, so up to this length the scalar test's std
+#: stays far below :data:`_REL_SPREAD_FLOOR` and provably takes the
+#: constant rule too; longer prefixes are left to the exact re-check.
+_MAX_DECIDED_CONSTANT_PREFIX = 1000
+
+#: Magnitude above which an equal-valued prefix is left to the exact
+#: re-check: the scalar test squares the mean-subtraction residue, which
+#: could overflow for values this large.
+_MAX_DECIDED_CONSTANT_MAGNITUDE = 1e150
+
 
 def _is_effectively_constant(arr: np.ndarray, std: float) -> bool:
     """Whether a sample's spread is indistinguishable from rounding noise."""
@@ -44,6 +61,34 @@ def _is_effectively_constant(arr: np.ndarray, std: float) -> bool:
         return True
     scale = float(np.abs(arr).max())
     return std <= _REL_SPREAD_FLOOR * scale
+
+
+@lru_cache(maxsize=64)
+def constant_sample_trials(confidence: float) -> int:
+    """Trials a constant sample needs before the spread test accepts it.
+
+    That is ``ceil(1 / (1 - confidence))`` (with ``1 - confidence``
+    floored at ``1e-12``), capped at 30 so a degenerate metric cannot
+    force an unbounded number of trials at very high confidence.
+    """
+    needed = int(np.ceil(1.0 / max(1.0 - confidence, 1e-12)))
+    return min(needed, 30)
+
+
+def _spread_verdict(
+    arr: np.ndarray, quantile: float, constant_trials: int
+) -> bool:
+    """The exact scalar spread test on a sample of at least two values (see
+    :func:`spread_is_confident`), with its quantile and constant-sample
+    requirement precomputed."""
+    std = float(arr.std())
+    if _is_effectively_constant(arr, std):
+        return arr.size >= constant_trials
+    # zscores(arr), reusing the std computed above.
+    z = (arr - arr.mean()) / std
+    straddles = bool(z.min() < -quantile and z.max() > quantile)
+    wide = bool(z.max() - z.min() > 2.0 * quantile)
+    return straddles or wide
 
 
 def normal_quantile(confidence: float) -> float:
@@ -94,7 +139,7 @@ def spread_is_confident(values: Sequence[float], confidence: float) -> bool:
     * ``max(z) - min(z) > 2 q`` (the total spread exceeds two quantiles).
 
     A sample with fewer than two trials is never confident.  A *constant*
-    sample with at least ``ceil(1 / (1 - confidence))`` trials is treated as
+    sample with at least :func:`constant_sample_trials` trials is treated as
     confident: a metric that does not vary at all across that many random
     subsamples has, for the purposes of worst-case estimation, been observed
     directly (this situation arises for deterministic costs).  "Constant"
@@ -110,17 +155,9 @@ def spread_is_confident(values: Sequence[float], confidence: float) -> bool:
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
         return False
-    quantile = normal_quantile(confidence)
-    if _is_effectively_constant(arr, float(arr.std())):
-        needed = int(np.ceil(1.0 / max(1.0 - confidence, 1e-12)))
-        # Cap the requirement so that degenerate (constant) metrics cannot
-        # force an unbounded number of trials at very high confidence.
-        needed = min(needed, 1000)
-        return arr.size >= min(needed, 30)
-    z = zscores(arr)
-    straddles = bool(z.min() < -quantile and z.max() > quantile)
-    wide = bool(z.max() - z.min() > 2.0 * quantile)
-    return straddles or wide
+    return _spread_verdict(
+        arr, normal_quantile(confidence), constant_sample_trials(confidence)
+    )
 
 
 @lru_cache(maxsize=64)
@@ -128,14 +165,14 @@ def _cached_quantile(confidence: float) -> float:
     """Memoised :func:`normal_quantile` for the vectorized prefix scan.
 
     ``scipy.stats.norm.ppf`` costs tens of microseconds per call, which the
-    scalar :func:`spread_is_confident` pays on every check; the blocked
-    bootstrap path calls the quantile once per scan instead.
+    scalar :func:`spread_is_confident` pays on every check; the trial
+    stream calls the quantile once per scan instead.
     """
     return normal_quantile(confidence)
 
 
 def _prefix_spread_flags(
-    stacked: np.ndarray, quantile: float
+    stacked: np.ndarray, quantile: float, constant_trials: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Classify every prefix of every row of ``stacked`` (shape ``(C, T)``).
 
@@ -151,17 +188,24 @@ def _prefix_spread_flags(
     The running mean/variance use cumulative sums of mean-shifted values;
     the error bounds below are conservative for that scheme, so a prefix is
     only ever classified "certain" when the scalar test provably agrees.
+    Prefixes whose values are all equal are the exception: they are
+    decided directly with the constant-sample rule (``constant_trials``
+    values needed), which is the scalar verdict whenever the prefix is at
+    most :data:`_MAX_DECIDED_CONSTANT_PREFIX` long and its value finite and
+    at most :data:`_MAX_DECIDED_CONSTANT_MAGNITUDE` in magnitude.
     """
+    # The ufunc methods below skip the Python-level wrappers of x.mean and
+    # np.cumsum, which cost more than the arithmetic on short columns.
     x = stacked
-    shift = x.mean(axis=1, keepdims=True)
+    shift = np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
     y = x - shift
     t = np.arange(1.0, x.shape[1] + 1.0)
-    mean = np.cumsum(y, axis=1) / t
-    var = np.maximum(np.cumsum(y * y, axis=1) / t - mean * mean, 0.0)
+    mean = np.add.accumulate(y, axis=1) / t
+    var = np.maximum(np.add.accumulate(y * y, axis=1) / t - mean * mean, 0.0)
     std = np.sqrt(var)
     ymin = np.minimum.accumulate(y, axis=1)
     ymax = np.maximum.accumulate(y, axis=1)
-    amax = np.maximum.accumulate(np.abs(y), axis=1)
+    amax = np.maximum(ymax, -ymin)  # running max of |y|
 
     qstd = quantile * std
     low_margin = (ymin - mean) + qstd  # < 0 -> lower tail straddled
@@ -169,21 +213,27 @@ def _prefix_spread_flags(
     wide_margin = (ymax - ymin) - 2.0 * qstd  # > 0 -> wide enough
     satisfied = ((low_margin < 0.0) & (high_margin > 0.0)) | (wide_margin > 0.0)
 
-    eps = np.finfo(float).eps
-    var_err = 16.0 * t * eps * (amax * amax + np.finfo(float).tiny)
+    var_err = (16.0 * _EPS * t) * (amax * amax + _TINY)
     std_err = var_err / np.maximum(std, np.sqrt(var_err))
-    tol = 4.0 * quantile * std_err + 64.0 * t * eps * (amax + std)
-    # |shift| + amax bounds the magnitude of the original (unshifted)
-    # values, so this flags every prefix the scalar test's relative
-    # noise floor would route to the constant-sample rule.
-    noise_floor = _REL_SPREAD_FLOOR * (np.abs(shift) + amax)
-    uncertain = (
-        (np.abs(low_margin) <= tol)
-        | (np.abs(high_margin) <= tol)
-        | (np.abs(wide_margin) <= tol)
-        | (std <= std_err)
-        | (std <= noise_floor)
+    tol = (4.0 * quantile) * std_err + (64.0 * _EPS * t) * (amax + std)
+    closest = np.minimum(
+        np.minimum(np.abs(low_margin), np.abs(high_margin)), np.abs(wide_margin)
     )
+    # |shift| + amax bounds the magnitude of the original (unshifted)
+    # values, so the noise floor flags every prefix the scalar test's
+    # relative noise floor would route to the constant-sample rule.
+    noise_floor = _REL_SPREAD_FLOOR * (np.abs(shift) + amax)
+    # ``not closest > tol`` also holds when a square overflowed (|values|
+    # above ~1e154) or a value is NaN: tol is then inf or NaN.
+    uncertain = ~(closest > tol) | (std <= np.maximum(std_err, noise_floor))
+
+    first = x[:, :1]
+    constant = np.logical_and.accumulate(x == first, axis=1) & (
+        np.abs(first) <= _MAX_DECIDED_CONSTANT_MAGNITUDE  # False for NaN
+    )
+    constant[:, _MAX_DECIDED_CONSTANT_PREFIX:] = False
+    satisfied = np.where(constant, t >= max(2, constant_trials), satisfied)
+    uncertain &= ~constant
     return satisfied, uncertain
 
 
@@ -274,56 +324,43 @@ class ConfidenceTest:
         hi = min(n, self.max_trials)
 
         quantile = _cached_quantile(self.confidence)
-        if lo == hi:
-            # A single candidate prefix (e.g. the bootstrap's min_trials
-            # block): the exact scalar check is cheaper than a prefix scan.
-            if all(
-                self._is_satisfied_exact(column, lo, quantile)
-                for column in columns
-            ):
-                return lo
-            return None
+        constant_trials = constant_sample_trials(self.confidence)
         satisfied, uncertain = _prefix_spread_flags(
-            np.stack([column[:hi] for column in columns]), quantile
+            np.array([column[:hi] for column in columns]),
+            quantile,
+            constant_trials,
         )
-        certain_false = (~satisfied & ~uncertain).any(axis=0)
-        any_uncertain = uncertain.any(axis=0)
-        all_satisfied = satisfied.all(axis=0)
+        # Prefixes no column certainly fails; in each, every column is
+        # certainly satisfied or uncertain, so only the uncertain ones
+        # need the exact scalar re-check.
+        possible = (satisfied | uncertain).all(axis=0)
         if hi >= self.max_trials:
             # the max_trials safety valve passes regardless of spread
-            certain_false[self.max_trials - 1 :] = False
-            any_uncertain[self.max_trials - 1 :] = False
-            all_satisfied[self.max_trials - 1 :] = True
+            possible[self.max_trials - 1 :] = True
+            uncertain[:, self.max_trials - 1 :] = False
 
-        for index in np.flatnonzero(~certain_false[lo - 1 :]):
+        for index in np.flatnonzero(possible[lo - 1 :]):
             t = lo + int(index)
-            if not any_uncertain[t - 1]:
-                if all_satisfied[t - 1]:
-                    return t
-                continue
             if all(
-                self._is_satisfied_exact(column, t, quantile)
-                for column in columns
+                self._is_satisfied_exact(columns[c], t, quantile, constant_trials)
+                for c in np.flatnonzero(uncertain[:, t - 1])
             ):
                 return t
         return None
 
     def _is_satisfied_exact(
-        self, column: np.ndarray, t: int, quantile: float
+        self,
+        column: np.ndarray,
+        t: int,
+        quantile: float,
+        constant_trials: int,
     ) -> bool:
         """Scalar :meth:`is_satisfied` on ``column[:t]`` with the quantile
-        precomputed (``scipy``'s ``ppf`` is the expensive part of the
-        scalar test; the verdict is unchanged)."""
+        and constant-sample requirement precomputed (``scipy``'s ``ppf`` is
+        the expensive part of the scalar test; the verdict is
+        unchanged)."""
         if t < self.min_trials:
             return False
         if t >= self.max_trials:
             return True
-        arr = column[:t]
-        if _is_effectively_constant(arr, float(arr.std())):
-            needed = int(np.ceil(1.0 / max(1.0 - self.confidence, 1e-12)))
-            needed = min(needed, 1000)
-            return arr.size >= min(needed, 30)
-        z = zscores(arr)
-        straddles = bool(z.min() < -quantile and z.max() > quantile)
-        wide = bool(z.max() - z.min() > 2.0 * quantile)
-        return straddles or wide
+        return _spread_verdict(column[:t], quantile, constant_trials)

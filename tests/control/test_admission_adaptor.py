@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.configuration import EnsembleConfiguration
+from repro.core.configuration import (
+    EnsembleConfiguration,
+    check_config_ids,
+    enumerate_configurations,
+    same_policy,
+)
 from repro.core.policies import SequentialPolicy, SingleVersionPolicy
 from repro.service.control import (
     AdaptorConfig,
@@ -249,6 +254,50 @@ class TestAdaptor:
             return ids
 
         assert trajectory() == trajectory()
+
+    def test_offline_anchor_id_cannot_alias_another_candidate(self, toy):
+        """An anchor fit on the default offline space shares its id with
+        a different re-fit candidate (offline cfg_002 is seq at 0.20, the
+        adaptor's cfg_002 is seq at 0.30).  The adaptor must hold it under
+        an id no candidate uses, or the re-fit would bootstrap both on one
+        set of outcome columns and read a swap between them as no
+        change."""
+        anchor = enumerate_configurations(toy)[2]
+        assert anchor.config_id == "cfg_002"
+        adaptor = PolicyAdaptor(
+            self.config(), measurements=toy, anchor=anchor, seed=3
+        )
+        candidate = next(
+            c for c in adaptor.candidates if c.config_id == "cfg_002"
+        )
+        assert not same_policy(candidate.policy, anchor.policy)
+        assert adaptor.anchor.policy is anchor.policy
+        assert adaptor.anchor.config_id == "cfg_002@anchor"
+        assert adaptor.active is adaptor.anchor
+        assert adaptor.anchor in adaptor.candidates
+        check_config_ids(adaptor.candidates)
+        # re-fits on that space run, and every swap names one policy
+        now = 100.0
+        for _ in range(6):
+            swap = adaptor.on_tick(
+                window_snapshot_over(toy, now=now), SLOState.BREACH, now
+            )
+            if swap is not None:
+                assert swap in adaptor.candidates
+            now += 1.0
+
+    def test_candidate_identical_to_the_anchor_is_replaced(self, toy):
+        """A candidate with the anchor's policy is not a second copy of
+        the anchor under another id: the anchor takes its place, so a
+        re-fit that picks that policy keeps the anchor."""
+        adaptor = self.adaptor(toy)
+        space = adaptor.candidates
+        assert len(space) == len(
+            enumerate_configurations(toy, thresholds=adaptor.config.thresholds)
+        )
+        matches = [c for c in space if same_policy(c.policy, adaptor.anchor.policy)]
+        assert matches == [adaptor.anchor]
+        assert adaptor.anchor.config_id == "anchor_seq"
 
     def test_warn_holds_position(self, toy):
         adaptor = self.adaptor(toy)

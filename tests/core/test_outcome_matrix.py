@@ -9,11 +9,20 @@ emitted rule tables), across all four policy kinds and the threshold grid.
 import numpy as np
 import pytest
 
-from repro.core.bootstrap import bootstrap_configuration
+from repro.core.bootstrap import (
+    TrialStream,
+    bootstrap_configuration,
+    trial_sample_size,
+)
 from repro.core.configuration import EnsembleConfiguration, enumerate_configurations
+from repro.core.learned_router import LogisticEscalationPolicy
 from repro.core.metrics import build_pricing
 from repro.core.outcome_matrix import OutcomeMatrix
-from repro.core.policies import EnsemblePolicy, SingleVersionPolicy
+from repro.core.policies import (
+    EnsemblePolicy,
+    SequentialPolicy,
+    SingleVersionPolicy,
+)
 from repro.core.rule_generator import RoutingRuleGenerator
 from repro.core.simulator import simulate
 from repro.stats.confidence import ConfidenceTest
@@ -185,24 +194,72 @@ class TestBootstrapEquivalence:
             **kw,
         )
 
-    def test_small_trial_blocks_change_nothing(self, space, matrix):
-        """The block size is a throughput knob only."""
+    def test_stream_offset_changes_nothing(self, space, matrix):
+        """Where a configuration's rows start in the trial stream (how many
+        configurations came before it, how far ahead the stream had drawn,
+        where the rows sit in its buffer) changes nothing: it sees exactly
+        the draws the scalar loop gives it after the same predecessors."""
         measurements, configurations = space
         test = ConfidenceTest(confidence=0.95, min_trials=6, max_trials=25)
-        results = []
-        for trial_block in (1, 3, 64):
-            rng = np.random.default_rng(9)
-            results.append(
-                bootstrap_configuration(
-                    measurements,
-                    configurations[5],
-                    confidence_test=test,
-                    rng=rng,
-                    outcome_matrix=matrix,
-                    trial_block=trial_block,
-                )
+        sample_size = trial_sample_size(measurements.n_requests, 0.1)
+        target = configurations[5]
+        for lead in range(6):
+            rng_scalar = np.random.default_rng(9)
+            rng_stream = np.random.default_rng(9)
+            stream = TrialStream(
+                rng_stream, measurements.n_requests, sample_size, test
             )
-        assert all(r == results[0] for r in results[1:])
+            for configuration in configurations[:lead]:
+                expected = bootstrap_configuration(
+                    measurements,
+                    configuration,
+                    confidence_test=test,
+                    rng=rng_scalar,
+                )
+                assert stream.bootstrap(matrix, configuration) == expected
+            expected = bootstrap_configuration(
+                measurements, target, confidence_test=test, rng=rng_scalar
+            )
+            assert stream.bootstrap(matrix, target) == expected
+            stream.park()
+            assert rng_stream.bit_generator.state == rng_scalar.bit_generator.state
+
+    def test_parked_stream_continues_after_foreign_draws(self, space, matrix):
+        """A parked stream may be reused after something else drew from
+        its generator: it picks up wherever the generator now is."""
+        measurements, configurations = space
+        test = ConfidenceTest(confidence=0.95, min_trials=6, max_trials=25)
+        sample_size = trial_sample_size(measurements.n_requests, 0.1)
+        rng_scalar = np.random.default_rng(4)
+        rng_stream = np.random.default_rng(4)
+        stream = TrialStream(rng_stream, measurements.n_requests, sample_size, test)
+        for configuration in configurations[:3]:
+            expected = bootstrap_configuration(
+                measurements, configuration, confidence_test=test, rng=rng_scalar
+            )
+            assert stream.bootstrap(matrix, configuration) == expected
+            stream.park()
+            rng_scalar.random(3)
+            rng_stream.random(3)
+        assert rng_stream.bit_generator.state == rng_scalar.bit_generator.state
+
+    def test_rejects_columns_of_another_policy(self, space, matrix):
+        """An id the matrix expanded for a different policy is refused,
+        not bootstrapped on the wrong columns."""
+        measurements, configurations = space
+        impostor = EnsembleConfiguration(
+            configurations[0].config_id, SingleVersionPolicy("ic_cpu_vgg16")
+        )
+        assert configurations[0].policy.versions != impostor.policy.versions
+        test = ConfidenceTest(confidence=0.95, min_trials=6, max_trials=25)
+        with pytest.raises(ValueError, match="built for"):
+            bootstrap_configuration(
+                measurements,
+                impostor,
+                confidence_test=test,
+                rng=np.random.default_rng(0),
+                outcome_matrix=matrix,
+            )
 
 
 class TestGeneratorEquivalence:
@@ -264,6 +321,123 @@ class TestGeneratorEquivalence:
         measurements, configurations = space
         with pytest.raises(ValueError):
             RoutingRuleGenerator(measurements, configurations, engine="warp")
+
+
+class TestFitStream:
+    """The fit-level trial stream against the per-configuration scalar
+    loop: equal estimates, equal generator state after the fit, and an
+    equal result from a later ``generator.bootstrap`` call."""
+
+    @staticmethod
+    def assert_fits_agree(measurements, configurations, later, **kw):
+        legacy = RoutingRuleGenerator(
+            measurements, configurations, engine="legacy", **kw
+        )
+        fast = RoutingRuleGenerator(
+            measurements, configurations, engine="vectorized", **kw
+        )
+        assert fast.results == legacy.results
+        assert fast._rng.bit_generator.state == legacy._rng.bit_generator.state
+        for configuration in later:
+            assert fast.bootstrap(configuration) == legacy.bootstrap(configuration)
+        assert fast._rng.bit_generator.state == legacy._rng.bit_generator.state
+        return fast
+
+    def test_adaptor_shaped_windows(self):
+        """The online re-fit's shape: the adaptor's 17 candidates plus an
+        anchor on a ~45-row window, confidence 0.95, 8 to 24 trials."""
+        from repro.service.simulation.scenarios import scenario_measurements
+
+        toy = scenario_measurements()
+        anchor = EnsembleConfiguration(
+            "anchor_seq", SequentialPolicy("fast", "slow", 0.65)
+        )
+        candidates = enumerate_configurations(
+            toy, thresholds=(0.3, 0.4, 0.5, 0.6, 0.7)
+        ) + [anchor]
+        assert len(candidates) == 18
+        rng = np.random.default_rng(11)
+        stopped = set()
+        for seed in range(6):
+            rows = np.sort(rng.choice(toy.n_requests, size=45, replace=False))
+            fit = self.assert_fits_agree(
+                toy.subset(rows.tolist()),
+                candidates,
+                [candidates[3], candidates[-1]],
+                confidence=0.95,
+                sample_fraction=0.5,
+                seed=seed,
+                degradation_mode="absolute",
+                min_trials=8,
+                max_trials=24,
+            )
+            stopped.update(e.n_trials for e in fit.results)
+        # the windows exercise early stops as well as the safety valve
+        assert min(stopped) < 24 and 24 in stopped
+
+    def test_scalar_fallback_in_the_middle(self, space):
+        """A learned policy the matrix cannot expand sits mid-space: the
+        scalar loop draws from the shared generator between two stretches
+        of the stream."""
+        measurements, configurations = space
+        learned = LogisticEscalationPolicy(
+            "ic_cpu_squeezenet", "ic_cpu_resnet50"
+        ).fit(measurements, indices=range(500))
+        middle = len(configurations) // 2
+        mixed = (
+            list(configurations[:middle])
+            + [EnsembleConfiguration("cfg_learned", learned)]
+            + list(configurations[middle:])
+        )
+        fast = self.assert_fits_agree(
+            measurements,
+            mixed,
+            [mixed[middle], mixed[0]],
+            confidence=0.95,
+            seed=21,
+            min_trials=6,
+            max_trials=25,
+        )
+        assert "cfg_learned" not in fast.outcome_matrix
+
+
+class TestConfigurationIds:
+    """One id must name one policy wherever estimates are keyed by id."""
+
+    def test_build_and_generator_reject_an_id_naming_two_policies(self, space):
+        measurements, configurations = space
+        clash = EnsembleConfiguration(
+            configurations[0].config_id, SingleVersionPolicy("ic_cpu_vgg16")
+        )
+        with pytest.raises(ValueError, match="two different policies"):
+            OutcomeMatrix.build(measurements, list(configurations) + [clash])
+        for engine in ("vectorized", "legacy"):
+            with pytest.raises(ValueError, match="two different policies"):
+                RoutingRuleGenerator(
+                    measurements,
+                    list(configurations[:3]) + [clash],
+                    engine=engine,
+                    min_trials=5,
+                    max_trials=8,
+                )
+
+    def test_repeated_configuration_is_accepted(self, space):
+        measurements, configurations = space
+        again = EnsembleConfiguration(
+            configurations[1].config_id,
+            SingleVersionPolicy(configurations[1].policy.version),
+        )
+        matrix = OutcomeMatrix.build(
+            measurements, [configurations[0], configurations[1], again]
+        )
+        assert len(matrix) == 2
+        generator = RoutingRuleGenerator(
+            measurements,
+            [configurations[0], configurations[1], again],
+            min_trials=5,
+            max_trials=8,
+        )
+        assert len(generator.results) == 3
 
 
 class TestZeroVarianceMetrics:

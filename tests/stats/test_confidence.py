@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.stats.confidence import (
     ConfidenceTest,
+    _prefix_spread_flags,
+    constant_sample_trials,
     normal_quantile,
     spread_is_confident,
     zscores,
@@ -146,6 +148,18 @@ class TestDegenerateSamples:
         naive = TestFirstSatisfied._naive(test, (column,), 1)
         assert test.first_satisfied((column,)) == naive
 
+    def test_every_uncertain_column_is_rechecked(self):
+        """Two columns uncertain at the same prefix: a near-constant one
+        the exact test accepts, then one whose squares overflow and which
+        the exact test rejects.  The verdict needs both re-checks."""
+        test = ConfidenceTest(confidence=0.9, min_trials=2, max_trials=100)
+        dust = np.full(40, 1e9)
+        dust[20:] += 1e-7
+        huge = np.random.default_rng(3).normal(size=40) * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            naive = TestFirstSatisfied._naive(test, (dust, huge), 1)
+            assert test.first_satisfied((dust, huge)) == naive
+
     def test_mixed_constant_and_spread_columns(self):
         test = ConfidenceTest(confidence=0.9, min_trials=2, max_trials=100)
         constant = np.zeros(20)
@@ -192,6 +206,73 @@ class TestFirstSatisfied:
             assert test.first_satisfied(columns, start=start) == self._naive(
                 test, columns, start
             )
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            0.0,
+            -0.0,
+            2.5,
+            -3.7,
+            5e-324,
+            1e-300,
+            1e-150,
+            1e-145,
+            1e100,
+            1e150,
+            1.5e150,
+            1e200,
+            -1e300,
+            1.7e308,
+            np.inf,
+            np.nan,
+        ],
+    )
+    def test_constant_columns_of_any_magnitude_match_sequential_loop(
+        self, value
+    ):
+        """Equal-valued prefixes the scan decides with the constant rule
+        must agree with the scalar test, and so must the magnitudes it
+        leaves to the exact re-check (where the scalar mean overflows or
+        squaring its residue might)."""
+        rng = np.random.default_rng(5)
+        for confidence in (0.9, 0.95, 0.999):
+            test = ConfidenceTest(confidence=confidence, min_trials=2, max_trials=80)
+            constant = np.full(60, value)
+            spread = rng.normal(size=60)
+            late = np.concatenate([np.full(35, value), rng.normal(size=25)])
+            for columns in ((constant,), (constant, spread), (late,), (spread, late)):
+                for start in (1, 7, 33):
+                    # both implementations overflow on the largest values
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        assert test.first_satisfied(
+                            columns, start=start
+                        ) == self._naive(test, columns, start)
+
+    def test_constant_prefixes_either_side_of_the_length_guard(self):
+        """The scan decides equal-valued prefixes of up to 1000 values and
+        leaves longer ones to the exact check; both sides must match the
+        sequential loop."""
+        quantile = normal_quantile(0.95)
+        needed = constant_sample_trials(0.95)
+        for value in (0.0, 0.1, 123.456, 1e120):
+            column = np.full((1, 1010), value)
+            satisfied, uncertain = _prefix_spread_flags(column, quantile, needed)
+            t = np.arange(1, 1011)
+            assert not uncertain[0, :1000].any()
+            assert uncertain[0, 1000:].all()
+            assert (satisfied[0, :1000] == (t[:1000] >= needed)).all()
+
+        test = ConfidenceTest(confidence=0.95, min_trials=2, max_trials=5000)
+        rng = np.random.default_rng(8)
+        spread = rng.normal(size=1010)
+        for value in (0.0, 0.1, 1e120):
+            constant = np.full(1010, value)
+            for columns in ((constant,), (constant, spread)):
+                for start in (990, 1000, 1001, 1005):
+                    assert test.first_satisfied(
+                        columns, start=start
+                    ) == self._naive(test, columns, start)
 
     def test_constant_columns_follow_the_scalar_constant_rule(self):
         test = ConfidenceTest(confidence=0.9, min_trials=2, max_trials=100)
