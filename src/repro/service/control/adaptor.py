@@ -26,8 +26,7 @@ Guardrails:
   ``min_window_samples`` observed requests (a rule table fit on a
   handful of rows is noise);
 * **no cost-increasing swaps under breach** — the anchor is
-  bootstrapped alongside the candidates every re-fit (in the place of
-  an identical candidate, if the space has one), and while
+  bootstrapped alongside the candidates every re-fit, and while
   breaching a swap must strictly lower the worst-case cost
   (node-seconds per request) of the active policy; without this, a
   narrow first widening step can "re-fit" onto the most accurate single
@@ -157,32 +156,25 @@ class AdaptorEvent:
 def _candidate_space(
     anchor: EnsembleConfiguration, candidates: List[EnsembleConfiguration]
 ) -> Tuple[EnsembleConfiguration, Tuple[EnsembleConfiguration, ...]]:
-    """The re-fit space with the anchor in it, and one policy per id.
+    """The re-fit space, anchor last, with one policy per id.
 
-    A candidate identical to the anchor is replaced by the anchor, so a
-    re-fit that picks that policy keeps the deployed configuration instead
-    of "swapping" to an alias of it; otherwise the anchor joins at the end.
-    An anchor whose id a different candidate already uses (as an anchor
-    fit on another design space can) is renamed ``<id>@anchor``, an id the
-    enumerated space never produces.
+    A candidate that is the anchor itself (same id, same policy) is
+    dropped.  An anchor whose id a different candidate uses (as an anchor
+    fit on another design space can) is renamed ``<id>@anchor``, an id
+    the enumerated space never produces.
 
     Returns:
         The anchor as the space holds it, and the space.
     """
     space = [
-        anchor if same_policy(candidate.policy, anchor.policy) else candidate
+        candidate
         for candidate in candidates
+        if candidate.config_id != anchor.config_id
+        or not same_policy(candidate.policy, anchor.policy)
     ]
-    if not any(candidate is anchor for candidate in space):
-        space.append(anchor)
-    if any(
-        candidate.config_id == anchor.config_id and candidate is not anchor
-        for candidate in space
-    ):
-        renamed = EnsembleConfiguration(f"{anchor.config_id}@anchor", anchor.policy)
-        space = [renamed if candidate is anchor else candidate for candidate in space]
-        anchor = renamed
-    return anchor, tuple(space)
+    if any(candidate.config_id == anchor.config_id for candidate in space):
+        anchor = EnsembleConfiguration(f"{anchor.config_id}@anchor", anchor.policy)
+    return anchor, tuple(space) + (anchor,)
 
 
 class _PendingJudgement:

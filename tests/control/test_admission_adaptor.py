@@ -130,6 +130,11 @@ def window_snapshot_over(measurements, now=100.0, n=40, latency=3.0):
     return hub.snapshot(now)
 
 
+def assert_same_space(space, expected):
+    assert [c.config_id for c in space] == [c.config_id for c in expected]
+    assert all(same_policy(a.policy, b.policy) for a, b in zip(space, expected))
+
+
 class TestAdaptor:
     def config(self, **kw):
         defaults = dict(
@@ -286,18 +291,31 @@ class TestAdaptor:
                 assert swap in adaptor.candidates
             now += 1.0
 
-    def test_candidate_identical_to_the_anchor_is_replaced(self, toy):
-        """A candidate with the anchor's policy is not a second copy of
-        the anchor under another id: the anchor takes its place, so a
-        re-fit that picks that policy keeps the anchor."""
+    def test_default_anchor_joins_the_space_last(self, toy):
+        """An anchor whose id no candidate uses is appended, even when a
+        candidate holds the same policy under another id."""
         adaptor = self.adaptor(toy)
-        space = adaptor.candidates
-        assert len(space) == len(
-            enumerate_configurations(toy, thresholds=adaptor.config.thresholds)
+        enumerated = enumerate_configurations(
+            toy, thresholds=adaptor.config.thresholds
         )
-        matches = [c for c in space if same_policy(c.policy, adaptor.anchor.policy)]
-        assert matches == [adaptor.anchor]
         assert adaptor.anchor.config_id == "anchor_seq"
+        assert any(
+            same_policy(c.policy, adaptor.anchor.policy) for c in enumerated
+        )
+        assert adaptor.candidates[-1] is adaptor.anchor
+        assert_same_space(adaptor.candidates[:-1], enumerated)
+
+    def test_candidate_that_is_the_anchor_is_not_listed_twice(self, toy):
+        """An anchor taken from the adaptor's own space keeps its id and
+        moves to the end; its candidate copy is dropped."""
+        config = self.config()
+        enumerated = enumerate_configurations(toy, thresholds=config.thresholds)
+        anchor = enumerated[2]
+        adaptor = PolicyAdaptor(config, measurements=toy, anchor=anchor, seed=3)
+        assert adaptor.anchor is anchor
+        assert adaptor.candidates[-1] is anchor
+        assert_same_space(adaptor.candidates[:-1], enumerated[:2] + enumerated[3:])
+        check_config_ids(adaptor.candidates)
 
     def test_warn_holds_position(self, toy):
         adaptor = self.adaptor(toy)
