@@ -4,7 +4,7 @@ Three serving paths used to each re-implement the paper's single/seq/conc/et
 escalation rules: the vectorized replay policies
 (:mod:`repro.core.policies`), the discrete-event engine
 (:mod:`repro.service.simulation.engine`) and a hand-rolled synchronous copy
-in the old :class:`~repro.core.api.ToleranceTiersService`.  This module is
+in the original live endpoint.  This module is
 now the single source of truth:
 
 * the pure decision functions — :func:`should_escalate`,

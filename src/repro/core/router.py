@@ -8,9 +8,9 @@ emits, and :class:`TierRouter` bundles the tables for all objectives.
 
 Two online consumers share this router:
 
-* :class:`~repro.core.api.ToleranceTiersService` executes the chosen
-  configuration synchronously against a live cluster (one request at a
-  time, no contention), and
+* :class:`~repro.service.gateway.gateway.TierGateway` executes the chosen
+  configuration synchronously against a live cluster through
+  ``DirectBackend`` (one request at a time, no contention), and
 * :class:`~repro.service.simulation.engine.ServingSimulator` executes it
   under offered load inside a discrete-event loop, where the same routing
   decision additionally determines which pools' queues the request joins
