@@ -1,4 +1,4 @@
-"""REGIONS — multi-region sharding: what failover buys, what workers buy.
+"""REGIONS — multi-region sharding: what failover buys, what a shard costs.
 
 Two questions, answered with deterministic simulation outputs plus one
 wall-clock measurement:
@@ -16,25 +16,20 @@ wall-clock measurement:
    workloads, so any drift is a change, not noise.  The ``tri-steady``
    locality baseline rides along as the control.
 
-2. **Parallel shard speedup.**  A four-region trace (25k requests per
-   region, 100k total) runs serially and with ``parallel=4`` worker
-   processes; both must produce bit-identical digests, and the wall
-   ratio is the recorded speedup.  Every region carries a ``NodeCrash``
-   schedule, which keeps each shard on the legacy event loop — the
-   regime where shard-level parallelism matters (the columnar engine
-   finishes 100k requests too fast for process fan-out to pay for
-   itself).  The >= 2x acceptance floor is asserted only where it is
-   physically possible (>= 4 usable cores); the artefact always records
-   ``cpu_count`` next to the ratio so a 1-vCPU container's numbers are
-   interpretable.
+2. **Serial trace pin.**  A four-region trace (25k requests per region,
+   100k total) runs once, serially and in-process.  Its digest must
+   equal the recorded one, and the run records ``serial_wall_s``,
+   ``sim_rps`` and ``cpu_count``.  Every region carries a ``NodeCrash``
+   schedule, which keeps each shard on the legacy event loop, so this
+   is the baseline a faster faulted-shard engine is measured against.
 
 Headline metrics land in ``BENCH_PERF.json`` (section ``regions``) and
 the longitudinal history via ``_merge_output``.
 
 Smoke mode (fast CI tier): ``REPRO_BENCH_SMOKE=1`` (or ``--smoke``)
-shrinks the speedup trace to 600 requests per region, skips the floor,
-and routes artefacts to ``results/`` only.  The full trace carries the
-``slow`` marker.
+shrinks the trace to 600 requests per region (pinned to its own
+digest) and routes artefacts to ``results/`` only.  The full trace
+carries the ``slow`` marker.
 
 Run with::
 
@@ -68,23 +63,25 @@ from repro.service.simulation import (
 from repro.service.simulation.scenarios import _tiered_configuration
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-WORKERS = 4
-#: Per-region request count for the speedup trace (x 4 regions).
+#: Per-region request count for the trace (x 4 regions).
 TRACE_N = 600 if SMOKE else 25_000
-#: Acceptance floor for the parallel speedup, asserted only when the
-#: machine can physically deliver it (shards are CPU-bound; on fewer
-#: cores than workers the fan-out cannot beat the serial loop).
-SPEEDUP_FLOOR = 2.0
+#: The trace's recorded merged-report digest at each size.
+TRACE_DIGEST = (
+    "0d5f89457c52e74cacf0938b8edb1f6113c6f1dad986cf86eadc4d4e4d1884dd"
+    if SMOKE
+    else "5551ecd384053246fde8dc14bd532918350b0c3611a72d3189e01ba324a16dc0"
+)
 CPU_COUNT = os.cpu_count() or 1
 
 
-def _speedup_spec():
+def _trace_spec():
     """Four symmetric regions, each pinned to the legacy engine.
 
     Each region keeps a two-node fast pool with one mid-run crash and
     recovery: the fault schedule forces the legacy event loop (the
     columnar engine declines faulted runs) without ever zeroing a pool,
-    so no failover traffic skews the per-shard workload balance.
+    so no failover traffic skews the per-shard workload balance.  The
+    ``speedup-*`` names are historical and kept as recorded.
     """
     regions = []
     for i, name in enumerate(("us-east", "eu-west", "ap-south", "sa-east")):
@@ -143,32 +140,25 @@ def _run_goodput_matrix(measurements):
     return {name: _goodput_row(name, report) for name, report in cells.items()}, cells
 
 
-def _run_speedup(measurements):
-    spec = _speedup_spec()
+def _run_trace(measurements):
+    spec = _trace_spec()
     start = time.perf_counter()
-    serial = run_multi_region(spec, measurements)
-    serial_s = time.perf_counter() - start
-    start = time.perf_counter()
-    parallel = run_multi_region(spec, measurements, parallel=WORKERS)
-    parallel_s = time.perf_counter() - start
-    assert serial.digest() == parallel.digest(), (
-        "parallel execution changed behaviour"
+    report = run_multi_region(spec, measurements)
+    wall_s = time.perf_counter() - start
+    assert report.digest() == TRACE_DIGEST, (
+        "the serial region trace no longer reproduces its recorded digest"
     )
-    n = serial.n_requests
+    n = report.n_requests
     return {
         "n_requests": n,
-        "workers": WORKERS,
         "cpu_count": CPU_COUNT,
-        "serial_wall_s": round(serial_s, 4),
-        "parallel_wall_s": round(parallel_s, 4),
-        "speedup": round(serial_s / parallel_s, 4),
-        "serial_sim_rps": round(n / serial_s, 1),
-        "parallel_sim_rps": round(n / parallel_s, 1),
-        "digest": serial.digest(),
+        "serial_wall_s": round(wall_s, 4),
+        "sim_rps": round(n / wall_s, 1),
+        "digest": report.digest(),
     }
 
 
-def _emit(goodput, reports, speedup):
+def _emit(goodput, reports, trace):
     print()
     print(
         format_table(
@@ -198,10 +188,9 @@ def _emit(goodput, reports, speedup):
     if fallbacks:
         print(f"engine fallbacks by region: {fallbacks}")
     print(
-        f"parallel shard speedup: {speedup['speedup']:.2f}x at "
-        f"{speedup['workers']} workers on {speedup['n_requests']} requests "
-        f"({speedup['serial_wall_s']:.2f}s -> {speedup['parallel_wall_s']:.2f}s, "
-        f"{speedup['cpu_count']} cores)"
+        f"serial region trace: {trace['n_requests']} requests in "
+        f"{trace['serial_wall_s']:.2f}s ({trace['sim_rps']:.0f} sim req/s, "
+        f"{trace['cpu_count']} cores)"
     )
     artifact = {
         "smoke": SMOKE,
@@ -212,7 +201,7 @@ def _emit(goodput, reports, speedup):
             }
             for name, row in goodput.items()
         },
-        "parallel": speedup,
+        "serial_trace": trace,
     }
     save_artifact("bench_regions", artifact)
     _merge_output(
@@ -231,7 +220,7 @@ def _emit(goodput, reports, speedup):
                     / goodput["outage-failover"]["p95_user_latency_s"],
                     4,
                 ),
-                "parallel": speedup,
+                "serial_trace": trace,
                 "smoke": SMOKE,
             }
         }
@@ -260,11 +249,11 @@ def _assert_failover_pays(goodput):
     not SMOKE, reason="smoke slice of the regions bench; the full tier runs it all"
 )
 def test_regions_smoke():
-    """Fast-tier slice: full goodput matrix, shrunk speedup trace."""
+    """Fast-tier slice: full goodput matrix, shrunk serial trace."""
     measurements = scenario_measurements()
     goodput, reports = _run_goodput_matrix(measurements)
-    speedup = _run_speedup(measurements)
-    _emit(goodput, reports, speedup)
+    trace = _run_trace(measurements)
+    _emit(goodput, reports, trace)
     _assert_failover_pays(goodput)
     # The shipped outage scenario must actually leave the columnar
     # engine somewhere, or the fallback accounting pins nothing.
@@ -275,17 +264,10 @@ def test_regions_smoke():
 def test_regions_full():
     measurements = scenario_measurements()
     goodput, reports = _run_goodput_matrix(measurements)
-    speedup = _run_speedup(measurements)
-    _emit(goodput, reports, speedup)
+    trace = _run_trace(measurements)
+    _emit(goodput, reports, trace)
     _assert_failover_pays(goodput)
-    assert speedup["n_requests"] >= 100_000
-    if CPU_COUNT >= WORKERS:
-        assert speedup["speedup"] >= SPEEDUP_FLOOR, speedup
-    else:
-        print(
-            f"speedup floor skipped: {CPU_COUNT} cores cannot feed "
-            f"{WORKERS} workers"
-        )
+    assert trace["n_requests"] >= 100_000
 
 
 if __name__ == "__main__":

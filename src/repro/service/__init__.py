@@ -31,8 +31,8 @@ and per node-hour.
   :mod:`repro.core`.
 * :mod:`repro.service.regions` -- multi-region sharded serving: per-region
   engine shards under spawned RNG streams, locality-first routing with
-  cross-region failover, a deterministic boundary-event merge, and
-  optional worker-process parallelism with bit-identical digests.
+  cross-region failover, and a deterministic boundary-event merge into
+  a bit-stable digest.
   Imported lazily — ``import repro.service.regions`` — it layers over
   simulation, control and the load balancer.
 """

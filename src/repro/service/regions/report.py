@@ -4,8 +4,8 @@
 stream into one :class:`MultiRegionReport`.  The merge is a pure,
 order-insensitive function of its inputs — shards are re-sorted into
 declaration order, boundary events already carry the ``(time, region,
-seq)`` total order — so serial and parallel executions produce the
-same object and the same :meth:`MultiRegionReport.digest`.
+seq)`` total order — so shards run in any order produce the same
+object and the same :meth:`MultiRegionReport.digest`.
 
 What the digest covers, and deliberately not: per region (in
 declaration order) the shard report digest and the workload/outcome
@@ -218,9 +218,9 @@ class MultiRegionReport:
     def digest(self) -> str:
         """SHA-256 digest of the run's observable multi-region behaviour.
 
-        Bit-stable across serial and ``parallel=N`` execution and across
-        engines (each shard digest is itself engine-invariant, pinned by
-        the dual-engine differential tests).
+        Bit-stable across shard execution order and across engines
+        (each shard digest is itself engine-invariant, pinned by the
+        dual-engine differential tests).
         """
         h = hashlib.sha256()
         for s in self.shards:
@@ -255,8 +255,8 @@ def merge_shards(
 ) -> MultiRegionReport:
     """Deterministically merge shard results against their routing plan.
 
-    Accepts results in any completion order (workers race); they are
-    keyed back to declaration order.  Conservation is verified before
+    Accepts results in any order; they are keyed back to declaration
+    order.  Conservation is verified before
     the report is returned — a merge that loses or double-counts a
     request never reaches the caller.
     """

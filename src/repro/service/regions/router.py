@@ -13,9 +13,8 @@ Everything the router consults is *static*: per-region arrival times and
 payload picks drawn from the spawned shard streams, pool-health
 timelines swept from the declared ``NodeCrash`` schedule, declared
 capacities, and declared partitions.  That makes the plan a pure
-function of the spec — shards can then execute in any order, on any
-number of worker processes, and the merged result cannot depend on
-execution interleaving.  The price is fidelity at the margins: the
+function of the spec — shards can then execute in any order and the
+merged result cannot depend on it.  The price is fidelity at the margins: the
 router sees health-check-level signals (it does not model autoscaler
 replacements or the queue depth a spillover wave creates at its
 target), exactly like a production global load balancer routing on

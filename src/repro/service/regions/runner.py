@@ -1,20 +1,18 @@
-"""Execute a multi-region run: plan serially, shard anywhere, merge.
+"""Execute a multi-region run: plan, run each shard, merge.
 
-:func:`run_multi_region` is the subsystem's entry point.  The three
-phases make parallel determinism structural rather than lucky:
+:func:`run_multi_region` is the subsystem's entry point, in three
+phases:
 
-1. **Plan** (serial): :class:`~repro.service.regions.router.RegionRouter`
-   draws every region's arrivals from its spawned seed stream and fixes
-   every failover decision and boundary event up front.
-2. **Shard** (serial or ``parallel=N`` worker processes): each region
-   executes :func:`~repro.service.regions.shard.run_shard` on a fully
-   self-contained task.  Workers share no state and the engine choice
-   is resolved *before* fan-out, so a worker's environment cannot
-   change behaviour.
-3. **Merge** (serial): results key back to declaration order and fold
-   with the planned boundary stream into a
+1. **Plan**: :class:`~repro.service.regions.router.RegionRouter` draws
+   every region's arrivals from its spawned seed stream and fixes every
+   failover decision and boundary event up front.
+2. **Shard**: each region's plan executes in-process through
+   :func:`~repro.service.regions.shard.run_shard`.  Shards share no
+   state; each depends only on its own plan.
+3. **Merge**: results key back to declaration order and fold with the
+   planned boundary stream into a
    :class:`~repro.service.regions.report.MultiRegionReport`, whose
-   digest is therefore identical however phase 2 executed.
+   digest is therefore independent of the order shards ran in.
 
 The RNG spawn-key discipline is audited on every run:
 :func:`multi_region_streams` enumerates each shard's derived streams
@@ -25,15 +23,13 @@ any two consumers would share a key.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.service.measurement import MeasurementSet
 from repro.service.regions.report import MultiRegionReport, merge_shards
-from repro.service.regions.router import RegionRouter, RouterPlan, ShardPlan
-from repro.service.regions.shard import ShardResult, ShardTask, run_shard
+from repro.service.regions.router import RegionRouter
+from repro.service.regions.shard import ShardResult, run_shard
 from repro.service.regions.spec import MultiRegionSpec
 from repro.service.simulation.seeds import (
     audit_seed_streams,
@@ -41,12 +37,9 @@ from repro.service.simulation.seeds import (
 )
 
 __all__ = [
-    "build_shard_tasks",
     "multi_region_streams",
     "run_multi_region",
 ]
-
-_ENGINE_ENV = "REPRO_SIM_ENGINE"
 
 
 def multi_region_streams(spec: MultiRegionSpec) -> Dict[str, Tuple[int, ...]]:
@@ -66,62 +59,18 @@ def multi_region_streams(spec: MultiRegionSpec) -> Dict[str, Tuple[int, ...]]:
     return streams
 
 
-def build_shard_tasks(
-    plan: RouterPlan,
-    measurements: MeasurementSet,
-    *,
-    engine: Optional[str] = None,
-    check_invariants: bool = False,
-    keep_reports: bool = False,
-    trace: bool = False,
-) -> List[ShardTask]:
-    """Self-contained worker tasks for every shard of a plan.
-
-    The engine is resolved here — explicit argument, else the
-    ``REPRO_SIM_ENGINE`` environment of the *parent*, else the
-    simulator default — and pinned into each task.
-    """
-    resolved = engine if engine is not None else os.environ.get(_ENGINE_ENV)
-    tasks: List[ShardTask] = []
-    for shard in plan.shards:
-        tasks.append(
-            ShardTask(
-                region=shard.region,
-                index=shard.index,
-                scenario=replace(
-                    shard.region.scenario, seed=shard.shard_seed
-                ),
-                measurements=measurements,
-                submissions=tuple(shard.submissions),
-                offered_rate=shard.offered_rate,
-                n_assigned=shard.n_assigned,
-                n_kept=shard.n_kept,
-                n_outgoing=shard.n_outgoing,
-                n_denied=shard.n_denied,
-                engine=resolved,
-                check_invariants=check_invariants,
-                keep_report=keep_reports,
-                trace=trace,
-            )
-        )
-    return tasks
-
-
 def _merge_traces(results: List[ShardResult], sink) -> None:
-    """Fold per-shard traces into ``sink`` in a parallel-stable order.
+    """Fold per-shard traces into ``sink`` in a plan-determined order.
 
     Shards finish their requests on independent virtual clocks, so the
     merged stream sorts by ``(finish time, region index, shard seq)`` —
-    fully determined by the plan, never by worker scheduling.  Every
-    trace root and run event is stamped with its region so a merged
-    collector can still be cut back per region.
+    fully determined by the plan, never by the order shards ran in.
+    Every trace root and run event is stamped with its region so a
+    merged collector can still be cut back per region.
     """
-    from repro.obs.trace import Trace
-
     keyed = []
     for result in results:
-        for seq, payload in enumerate(result.trace_dicts or ()):
-            trace = Trace.from_dict(payload)
+        for seq, trace in enumerate(result.traces or ()):
             trace.root.attrs.setdefault("region", result.region)
             keyed.append(((trace.root.end_s, result.index, seq), trace))
     keyed.sort(key=lambda item: item[0])
@@ -147,10 +96,8 @@ def run_multi_region(
     spec: MultiRegionSpec,
     measurements: MeasurementSet,
     *,
-    parallel: Optional[int] = None,
     engine: Optional[str] = None,
     check_invariants: bool = False,
-    keep_reports: bool = False,
     trace=None,
 ) -> MultiRegionReport:
     """Run a multi-region spec end to end.
@@ -159,18 +106,11 @@ def run_multi_region(
         spec: The multi-region load test.
         measurements: Shared measurement table every region's replay
             pools draw service times from.
-        parallel: Worker-process count for the shard phase; ``None`` or
-            ``1`` runs shards serially in-process.  The merged report
-            (and its digest) is identical either way.
         engine: Per-shard engine override, forwarded to every
             :class:`~repro.service.simulation.engine.ServingSimulator`.
         check_invariants: Enable each shard engine's conservation
             checker (the multi-region conservation identities are
             always verified at merge time).
-        keep_reports: Retain each shard's full
-            :class:`~repro.service.simulation.report.LoadTestReport`
-            on its result (serial-friendly; costs pickling when
-            combined with ``parallel``).
         trace: Optional :class:`~repro.obs.trace.TraceCollector` that
             receives one span tree per request across every region,
             merged in ``(finish time, region index, shard seq)`` order.
@@ -180,21 +120,16 @@ def run_multi_region(
     """
     audit_seed_streams(multi_region_streams(spec))
     plan = RegionRouter(spec, measurements).plan()
-    tasks = build_shard_tasks(
-        plan,
-        measurements,
-        engine=engine,
-        check_invariants=check_invariants,
-        keep_reports=keep_reports,
-        trace=trace is not None,
-    )
-    results: List[ShardResult]
-    if parallel is not None and parallel > 1 and len(tasks) > 1:
-        workers = min(parallel, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(run_shard, tasks))
-    else:
-        results = [run_shard(task) for task in tasks]
+    results = [
+        run_shard(
+            shard,
+            measurements,
+            engine=engine,
+            check_invariants=check_invariants,
+            trace=trace is not None,
+        )
+        for shard in plan.shards
+    ]
     if trace is not None:
         _merge_traces(results, trace)
     return merge_shards(plan, results)

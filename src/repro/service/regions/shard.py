@@ -1,34 +1,28 @@
 """One region shard: an independent engine run plus its local analysis.
 
-:func:`run_shard` is the unit of work a multi-region run fans out — the
-same function executes serially in-process and on
-``ProcessPoolExecutor`` workers, which is what makes the parallel run
-digest-identical to the serial one: there is exactly one code path.
-
-A shard builds its region's replay cluster, autoscaler and (optional)
-control plane exactly as :func:`run_scenario` would, submits the
-planned workload explicitly (kept local arrivals in draw order, then
-incoming failover traffic), drains, and then does every per-region
-analysis *inside the worker* so it parallelises with the simulation:
-the shard report digest, the summary, the user-perceived latency array
-(failover traffic pays its round trip), and the region SLO replay —
-debounced :class:`SLOMonitor` evaluation over the region's own
-telemetry window, emitting region-named control entries
+:func:`run_shard` executes one :class:`~repro.service.regions.router.ShardPlan`
+in-process.  A shard builds its region's replay cluster, autoscaler and
+(optional) control plane exactly as :func:`run_scenario` would, submits
+the planned workload explicitly (kept local arrivals in draw order,
+then incoming failover traffic), drains, and then does every per-region
+analysis: the shard report digest, the summary, the user-perceived
+latency array (failover traffic pays its round trip), and the region
+SLO replay — debounced :class:`SLOMonitor` evaluation over the region's
+own telemetry window, emitting region-named control entries
 (``region-slo`` transitions and ``region-decision`` advisories saying
 *which region* to shed or adapt).
 
-The returned :class:`ShardResult` is deliberately lean — digest,
-summary, merge arrays and logs, not ~10^5 record objects — so pickling
-results back from workers cannot eat the parallel speedup.  Pass
-``keep_report=True`` (serial convenience) to retain the full
-:class:`LoadTestReport`.
+The returned :class:`ShardResult` keeps what the merge needs — digest,
+summary, merge arrays, logs and (when tracing) the shard collector's
+own :class:`~repro.obs.trace.Trace` objects — and drops the shard's
+:class:`LoadTestReport` and its ~10^5 record objects.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,45 +30,17 @@ from repro.service.control.plane import ControlLogEntry, ControlPlane
 from repro.service.control.slo import SLOMonitor, SLOState
 from repro.service.control.telemetry import TelemetryHub
 from repro.service.measurement import MeasurementSet
-from repro.service.regions.router import PlannedSubmission
+from repro.service.regions.router import ShardPlan
 from repro.service.regions.spec import RegionSpec
 from repro.service.request import ServiceRequest
 from repro.service.simulation.autoscaler import Autoscaler
 from repro.service.simulation.engine import ServingSimulator
 from repro.service.simulation.replay import build_replay_cluster
-from repro.service.simulation.report import LoadTestReport
-from repro.service.simulation.scenarios import ScenarioSpec
 
-__all__ = ["ShardResult", "ShardTask", "run_shard"]
+if TYPE_CHECKING:
+    from repro.obs.trace import Trace
 
-
-@dataclass(frozen=True)
-class ShardTask:
-    """Everything one worker needs — picklable, fully self-contained.
-
-    ``scenario`` already carries the spawned shard seed (the plan phase
-    substituted it), and ``engine`` is resolved by the parent before
-    fan-out so a worker's environment cannot change engine selection.
-    """
-
-    region: RegionSpec
-    index: int
-    scenario: ScenarioSpec
-    measurements: MeasurementSet
-    submissions: Tuple[PlannedSubmission, ...]
-    offered_rate: Optional[float]
-    n_assigned: int
-    n_kept: int
-    n_outgoing: int
-    n_denied: int
-    engine: Optional[str] = None
-    check_invariants: bool = False
-    keep_report: bool = False
-    #: Record one span tree per request (see :mod:`repro.obs`).  The
-    #: shard builds its own collector inside the worker and ships the
-    #: traces back as plain dicts, so tracing stays picklable and the
-    #: parallel run merges to the same trace stream as the serial one.
-    trace: bool = False
+__all__ = ["ShardResult", "run_shard"]
 
 
 @dataclass
@@ -102,10 +68,8 @@ class ShardResult:
         fault_log / control_log: The shard engine's logs.
         slo_log: Region SLO replay entries (region-named).
         final_pool_sizes: Pool sizes at drain.
-        report: The full shard report when ``keep_report`` was set.
-        trace_dicts: One dict per recorded trace (completion order)
-            when the task asked for tracing — picklable form of
-            :class:`~repro.obs.trace.Trace`.
+        traces: The shard collector's recorded traces (completion
+            order) when the shard ran with tracing, else ``None``.
         trace_run_events: Recorded run-level events as
             ``(time_s, kind, detail, region)`` tuples.
     """
@@ -133,22 +97,21 @@ class ShardResult:
     control_log: List[object] = field(default_factory=list)
     slo_log: List[ControlLogEntry] = field(default_factory=list)
     final_pool_sizes: Dict[str, int] = field(default_factory=dict)
-    report: Optional[LoadTestReport] = None
-    trace_dicts: Optional[List[dict]] = None
+    traces: Optional[List["Trace"]] = None
     trace_run_events: Optional[List[Tuple[float, str, str, Optional[str]]]] = (
         None
     )
 
 
-def _empty_result(task: ShardTask) -> ShardResult:
+def _empty_result(shard: ShardPlan, trace: bool) -> ShardResult:
     """A shard whose workload fully failed over ran nothing at all."""
     digest = hashlib.sha256(
-        f"empty-shard:{task.region.name}".encode()
+        f"empty-shard:{shard.region.name}".encode()
     ).hexdigest()
     return ShardResult(
-        region=task.region.name,
-        index=task.index,
-        shard_seed=task.scenario.seed,
+        region=shard.region.name,
+        index=shard.index,
+        shard_seed=shard.shard_seed,
         digest=digest,
         summary={},
         engine_used=None,
@@ -156,26 +119,48 @@ def _empty_result(task: ShardTask) -> ShardResult:
         n_submitted=0,
         n_local=0,
         n_incoming=0,
-        n_assigned=task.n_assigned,
-        n_outgoing=task.n_outgoing,
-        n_denied=task.n_denied,
+        n_assigned=shard.n_assigned,
+        n_outgoing=shard.n_outgoing,
+        n_denied=shard.n_denied,
         n_completed=0,
         n_failed=0,
         n_shed=0,
         user_latencies_ok=np.empty(0, dtype=float),
         last_finished_s=0.0,
         total_cost=0.0,
-        trace_dicts=[] if task.trace else None,
-        trace_run_events=[] if task.trace else None,
+        traces=[] if trace else None,
+        trace_run_events=[] if trace else None,
     )
 
 
-def run_shard(task: ShardTask) -> ShardResult:
-    """Execute one region shard end to end (simulate + analyse)."""
-    if not task.submissions:
-        return _empty_result(task)
-    scenario = task.scenario
-    cluster = build_replay_cluster(task.measurements, dict(scenario.pools))
+def run_shard(
+    shard: ShardPlan,
+    measurements: MeasurementSet,
+    *,
+    engine: Optional[str] = None,
+    check_invariants: bool = False,
+    trace: bool = False,
+) -> ShardResult:
+    """Execute one region shard end to end (simulate + analyse).
+
+    Args:
+        shard: The shard's plan; its region scenario runs under the
+            spawned ``shard.shard_seed``.
+        measurements: Measurement table the region's replay pools draw
+            service times from.
+        engine: Engine override forwarded to
+            :class:`~repro.service.simulation.engine.ServingSimulator`
+            (``None`` resolves ``REPRO_SIM_ENGINE``, else the default).
+        check_invariants: Enable the engine's conservation checker.
+        trace: Record one span tree per request (see :mod:`repro.obs`)
+            into a shard-local collector whose traces and run events
+            ride back on the result.
+    """
+    if not shard.submissions:
+        return _empty_result(shard, trace)
+    region = shard.region
+    scenario = replace(region.scenario, seed=shard.shard_seed)
+    cluster = build_replay_cluster(measurements, dict(scenario.pools))
     autoscaler = (
         Autoscaler(scenario.autoscaler_config)
         if scenario.autoscaler_config is not None
@@ -184,7 +169,7 @@ def run_shard(task: ShardTask) -> ShardResult:
     control = (
         ControlPlane.from_spec(
             scenario.control,
-            measurements=task.measurements,
+            measurements=measurements,
             configuration=scenario.configuration,
             router=scenario.router,
             seed=scenario.seed,
@@ -195,18 +180,18 @@ def run_shard(task: ShardTask) -> ShardResult:
     )
     recorder = None
     collector = None
-    if task.trace:
+    if trace:
         from repro.obs.record import SimTraceRecorder
         from repro.obs.trace import TraceCollector
 
         collector = TraceCollector()
         recorder = SimTraceRecorder(collector)
-        for submission in task.submissions:
-            if submission.origin != task.region.name:
+        for submission in shard.submissions:
+            if submission.origin != region.name:
                 recorder.annotate_failover(
                     submission.request_id,
                     home=submission.origin,
-                    served=task.region.name,
+                    served=region.name,
                     extra_latency_s=submission.extra_latency_s,
                 )
     simulator = ServingSimulator(
@@ -217,13 +202,13 @@ def run_shard(task: ShardTask) -> ShardResult:
         autoscaler=autoscaler,
         faults=scenario.faults,
         retry=scenario.retry,
-        check_invariants=task.check_invariants,
+        check_invariants=check_invariants,
         control=control,
         trace=recorder,
         seed=scenario.seed,
-        engine=task.engine,
+        engine=engine,
     )
-    for submission in task.submissions:
+    for submission in shard.submissions:
         simulator.submit(
             ServiceRequest(
                 request_id=submission.request_id,
@@ -234,20 +219,20 @@ def run_shard(task: ShardTask) -> ShardResult:
             at_time=submission.at_time,
         )
     report = simulator.drain()
-    report.offered_rate = task.offered_rate
+    report.offered_rate = shard.offered_rate
 
     extra = {
         s.request_id: s.extra_latency_s
-        for s in task.submissions
+        for s in shard.submissions
         if s.extra_latency_s
     }
-    n_incoming = sum(1 for s in task.submissions if s.origin != task.region.name)
+    n_incoming = sum(1 for s in shard.submissions if s.origin != region.name)
 
     user_latencies: List[float] = []
     last_finished = 0.0
     total_cost = 0.0
     n_completed = n_failed = n_shed = 0
-    slo_log = _RegionSLOReplay(task.region)
+    slo_log = _RegionSLOReplay(region)
     for record in report.records:
         last_finished = max(last_finished, record.finished_s)
         slo_log.publish(record)
@@ -265,19 +250,19 @@ def run_shard(task: ShardTask) -> ShardResult:
     slo_log.finish(last_finished)
 
     return ShardResult(
-        region=task.region.name,
-        index=task.index,
-        shard_seed=scenario.seed,
+        region=region.name,
+        index=shard.index,
+        shard_seed=shard.shard_seed,
         digest=report.digest(),
         summary=report.summary(),
         engine_used=report.engine_used,
         fallback_reason=report.fallback_reason,
-        n_submitted=len(task.submissions),
-        n_local=len(task.submissions) - n_incoming,
+        n_submitted=len(shard.submissions),
+        n_local=len(shard.submissions) - n_incoming,
         n_incoming=n_incoming,
-        n_assigned=task.n_assigned,
-        n_outgoing=task.n_outgoing,
-        n_denied=task.n_denied,
+        n_assigned=shard.n_assigned,
+        n_outgoing=shard.n_outgoing,
+        n_denied=shard.n_denied,
         n_completed=n_completed,
         n_failed=n_failed,
         n_shed=n_shed,
@@ -288,14 +273,9 @@ def run_shard(task: ShardTask) -> ShardResult:
         control_log=list(report.control_log),
         slo_log=slo_log.entries,
         final_pool_sizes=dict(report.final_pool_sizes),
-        report=report if task.keep_report else None,
-        trace_dicts=(
-            [trace.to_dict() for trace in collector.traces]
-            if collector is not None
-            else None
-        ),
+        traces=collector.traces if collector is not None else None,
         trace_run_events=(
-            list(collector.run_events) if collector is not None else None
+            collector.run_events if collector is not None else None
         ),
     )
 

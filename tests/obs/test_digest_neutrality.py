@@ -117,11 +117,6 @@ def test_multi_region_report_is_trace_neutral(toy):
     assert on.digest() == off.digest()
     assert len(sink) == 80
 
-    # Parallel shards merge to the identical trace stream.
-    parallel_sink = TraceCollector()
-    run_multi_region(spec, toy, parallel=2, trace=parallel_sink)
-    assert parallel_sink.digest() == sink.digest()
-
     # Failover traffic carries the hop span linking home and target.
     hops = [
         t

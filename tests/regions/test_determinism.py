@@ -1,5 +1,6 @@
-"""The determinism contract: plain-scenario equivalence, serial == parallel,
-conservation, and a fuzzed differential sweep over random topologies."""
+"""The determinism contract: plain-scenario equivalence, shard-order
+independence, conservation, and a fuzzed differential sweep over random
+topologies."""
 
 import dataclasses
 
@@ -10,7 +11,6 @@ from repro.service.regions import (
     MultiRegionSpec,
     RegionRouter,
     RegionSpec,
-    build_shard_tasks,
     merge_shards,
     run_multi_region,
     run_shard,
@@ -104,23 +104,16 @@ class TestPlainScenarioEquivalence:
         )
 
 
-class TestSerialParallelEquivalence:
-    def test_parallel_digest_matches_serial(self, toy):
-        spec = _spec_with_failover()
-        serial = run_multi_region(spec, toy)
-        parallel = run_multi_region(spec, toy, parallel=2)
-        assert serial.digest() == parallel.digest()
-        assert serial.summary() == parallel.summary()
-
+class TestShardOrderIndependence:
     def test_shard_execution_order_is_irrelevant(self, toy):
         spec = _spec_with_failover()
         plan = RegionRouter(spec, toy).plan()
-        tasks = build_shard_tasks(plan, toy)
-        forward = merge_shards(plan, [run_shard(t) for t in tasks])
+        forward = merge_shards(plan, [run_shard(s, toy) for s in plan.shards])
         reversed_ = merge_shards(
-            plan, [run_shard(t) for t in reversed(tasks)]
+            plan, [run_shard(s, toy) for s in reversed(plan.shards)]
         )
         assert forward.digest() == reversed_.digest()
+        assert forward.digest() == run_multi_region(spec, toy).digest()
 
 
 class TestStability:
@@ -170,8 +163,7 @@ class TestConservation:
     def test_merge_rejects_missing_and_foreign_shards(self, toy):
         spec = _spec_with_failover()
         plan = RegionRouter(spec, toy).plan()
-        tasks = build_shard_tasks(plan, toy)
-        results = [run_shard(t) for t in tasks]
+        results = [run_shard(s, toy) for s in plan.shards]
         with pytest.raises(ValueError, match="missing shard"):
             merge_shards(plan, results[:1])
         foreign = dataclasses.replace(results[0], region="mars")
@@ -237,9 +229,19 @@ def _fuzz_spec(rng):
     )
 
 
-@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize(
+    "case",
+    [
+        *range(6),
+        *(pytest.param(case, marks=pytest.mark.slow) for case in range(6, 18)),
+    ],
+)
 def test_fuzzed_differential(case, toy):
-    """Random topologies uphold the full determinism contract."""
+    """Random topologies uphold the full determinism contract.
+
+    Cases 0-5 run in the fast tier; 6-17 widen the sweep on the slow
+    tier.
+    """
     rng = np.random.default_rng(1000 + case)
     spec = _fuzz_spec(rng)
     report = run_multi_region(spec, toy, check_invariants=True)
@@ -249,14 +251,3 @@ def test_fuzzed_differential(case, toy):
         for index in range(len(spec.regions)):
             plain = run_scenario(spec.equivalent_scenario(index), toy)
             assert report.shards[index].digest == plain.digest()
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("case", range(6, 18))
-def test_fuzzed_differential_deep(case, toy):
-    """Wider fuzz sweep, including the parallel path, on the slow tier."""
-    rng = np.random.default_rng(1000 + case)
-    spec = _fuzz_spec(rng)
-    serial = run_multi_region(spec, toy, check_invariants=True)
-    parallel = run_multi_region(spec, toy, parallel=3)
-    assert serial.digest() == parallel.digest()
