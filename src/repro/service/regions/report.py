@@ -256,9 +256,9 @@ def merge_shards(
     """Deterministically merge shard results against their routing plan.
 
     Accepts results in any order; they are keyed back to declaration
-    order.  Conservation is verified before
-    the report is returned — a merge that loses or double-counts a
-    request never reaches the caller.
+    order.  Conservation is verified before the report is returned — a
+    merge that loses or double-counts a request never reaches the
+    caller.
     """
     expected = plan.spec.region_names
     by_region: Dict[str, ShardResult] = {r.region: r for r in results}

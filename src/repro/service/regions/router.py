@@ -14,10 +14,10 @@ payload picks drawn from the spawned shard streams, pool-health
 timelines swept from the declared ``NodeCrash`` schedule, declared
 capacities, and declared partitions.  That makes the plan a pure
 function of the spec — shards can then execute in any order and the
-merged result cannot depend on it.  The price is fidelity at the margins: the
-router sees health-check-level signals (it does not model autoscaler
-replacements or the queue depth a spillover wave creates at its
-target), exactly like a production global load balancer routing on
+merged result cannot depend on it.  The price is fidelity at the
+margins: the router sees health-check-level signals (it does not model
+autoscaler replacements or the queue depth a spillover wave creates at
+its target), exactly like a production global load balancer routing on
 advertised health rather than ground truth.
 
 Cross-shard interactions surface as :class:`BoundaryEvent` records —

@@ -3,10 +3,11 @@
 ``_ReferenceToleranceTiersService`` below is a faithful copy of the
 escalation logic the original ``ToleranceTiersService`` endpoint carried
 before the gateway replaced it (same dispatch order, same latency
-composition, same billing).  Every test drives the reference and the gateway over
-independently built but identical deployments and requires the responses
-to match field-for-field — across all four configuration kinds, confident
-and escalating traffic, and both the object and HTTP entry points.
+composition, same billing).  Every test drives the reference and the
+gateway over independently built but identical deployments and requires
+the responses to match field-for-field — across all four configuration
+kinds, confident and escalating traffic, and both the object and HTTP
+entry points.
 """
 
 import pytest
