@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.obs.trace import Trace, TraceCollector
 from repro.service.regions import (
     MultiRegionSpec,
     RegionRouter,
@@ -16,6 +17,7 @@ from repro.service.regions import (
     run_shard,
 )
 from repro.service.regions.report import ConservationError
+from repro.service.regions.runner import _merge_traces
 from repro.service.simulation import (
     NodeCrash,
     PoissonArrivals,
@@ -114,6 +116,54 @@ class TestShardOrderIndependence:
         )
         assert forward.digest() == reversed_.digest()
         assert forward.digest() == run_multi_region(spec, toy).digest()
+
+
+def _forbid_dict_round_trip(*_args, **_kwargs):
+    raise AssertionError("traces must reach the merge without a dict copy")
+
+
+class TestTraceHandOff:
+    """Traced shards hand their collector's own ``Trace`` objects to the
+    merge: no dict round-trip, order fixed by the plan alone."""
+
+    def test_traced_shard_is_report_neutral(self, toy):
+        plan = RegionRouter(_spec_with_failover(), toy).plan()
+        for shard in plan.shards:
+            traced = run_shard(shard, toy, trace=True)
+            plain = run_shard(shard, toy)
+            assert plain.traces is None and plain.trace_run_events is None
+            assert traced.digest == plain.digest
+            assert len(traced.traces) == traced.n_submitted
+            assert all(isinstance(t, Trace) for t in traced.traces)
+
+    def test_traced_run_makes_no_dict_round_trip(self, toy, monkeypatch):
+        spec = _spec_with_failover()
+        expected = TraceCollector()
+        run_multi_region(spec, toy, trace=expected)
+        sink = TraceCollector()
+        with monkeypatch.context() as patch:
+            patch.setattr(Trace, "to_dict", _forbid_dict_round_trip)
+            patch.setattr(
+                Trace, "from_dict", classmethod(_forbid_dict_round_trip)
+            )
+            run_multi_region(spec, toy, trace=sink)
+        assert len(sink) == len(expected) > 0
+        assert sink.digest() == expected.digest()
+
+    def test_trace_merge_order_is_irrelevant(self, toy):
+        spec = _spec_with_failover()
+        expected = TraceCollector()
+        run_multi_region(spec, toy, trace=expected)
+        plan = RegionRouter(spec, toy).plan()
+        results = [
+            run_shard(s, toy, trace=True) for s in reversed(plan.shards)
+        ]
+        sink = TraceCollector()
+        _merge_traces(results, sink)
+        assert sink.digest() == expected.digest()
+        own = {id(t) for result in results for t in result.traces}
+        assert len(sink) == len(own)
+        assert {id(t) for t in sink.traces} == own
 
 
 class TestStability:
